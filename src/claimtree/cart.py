@@ -8,45 +8,16 @@ the children of node m are 2m and 2m+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, feature_matrix
 
 
-def gini(p: float) -> float:
-    """Gini impurity 2p(1-p) of a binary node with positive share p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"proportion outside [0, 1]: {p}")
-    return 2.0 * p * (1.0 - p)
-
-
-def misclassification(p: float) -> float:
-    """Misclassification rate 1 - max(p, 1-p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"proportion outside [0, 1]: {p}")
-    return 1.0 - max(p, 1.0 - p)
-
-
-def entropy(p: float) -> float:
-    """Binary cross-entropy -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"proportion outside [0, 1]: {p}")
-    out = 0.0
-    if p > 0.0:
-        out -= p * np.log(p)
-    if p < 1.0:
-        out -= (1.0 - p) * np.log(1.0 - p)
-    return float(out)
-
-
-IMPURITIES = {"gini": gini, "misclassification": misclassification, "entropy": entropy}
-
-
 def _impurity_vec(name: str, p: np.ndarray) -> np.ndarray:
-    # Same arithmetic as the scalar functions, element-wise, so scores are
-    # bit-identical to a scalar enumeration of the candidates.
+    # Each formula is written once, element-wise: the split search scores
+    # candidates with it and the scalar functions below wrap it.
     if name == "gini":
         return 2.0 * p * (1.0 - p)
     if name == "misclassification":
@@ -57,6 +28,33 @@ def _impurity_vec(name: str, p: np.ndarray) -> np.ndarray:
         right = np.where(q > 0.0, -q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
         return left + right
     raise ValueError(f"unknown impurity {name!r}")
+
+
+def _impurity(name: str, p: float) -> float:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"proportion outside [0, 1]: {p}")
+    return float(_impurity_vec(name, np.float64(p)))
+
+
+def gini(p: float) -> float:
+    """Gini impurity 2p(1-p) of a binary node with positive share p."""
+    return _impurity("gini", p)
+
+
+def misclassification(p: float) -> float:
+    """Misclassification rate 1 - max(p, 1-p)."""
+    return _impurity("misclassification", p)
+
+
+def entropy(p: float) -> float:
+    """Binary cross-entropy -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0."""
+    return _impurity("entropy", p)
+
+
+IMPURITIES = {"gini": gini, "misclassification": misclassification, "entropy": entropy}
+
+# Deepest tree allowed, as in rpart: heap node ids then stay below 2**31.
+MAX_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,8 @@ class TreeHyperparams:
     def __post_init__(self):
         if self.cp < 0:
             raise ValueError("cp must be >= 0")
-        if self.maxdepth < 1:
-            raise ValueError("maxdepth must be >= 1")
+        if not 1 <= self.maxdepth <= MAX_DEPTH:
+            raise ValueError(f"maxdepth must lie in [1, {MAX_DEPTH}]")
         if self.minsplit < 2:
             raise ValueError("minsplit must be >= 2")
         if self.impurity not in IMPURITIES:
@@ -363,12 +361,7 @@ def tree_to_dict(tree: Tree) -> dict:
 
     return {
         "feature_names": list(tree.feature_names),
-        "hyperparams": {
-            "cp": tree.hyperparams.cp,
-            "maxdepth": tree.hyperparams.maxdepth,
-            "minsplit": tree.hyperparams.minsplit,
-            "impurity": tree.hyperparams.impurity,
-        },
+        "hyperparams": asdict(tree.hyperparams),
         "root": node_dict(1),
     }
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,22 +171,15 @@ def _parse_glm_lambda(value):
         ) from None
 
 
-def _resolve_hyperparams(args, cfg) -> HybridHyperparams:
-    defaults = HybridHyperparams()
+def _from_flags(cls, args, cfg: dict):
+    """Build a settings dataclass field by field: flag, else config key, else default."""
+    resolved = {f.name: _resolve(args, cfg, f.name, MISSING) for f in fields(cls)}
+    kwargs = {name: value for name, value in resolved.items() if value is not MISSING}
+    if "glm_lambda" in kwargs:  # flags and config files may give the penalty as text
+        kwargs["glm_lambda"] = _parse_glm_lambda(kwargs["glm_lambda"])
     try:
-        return HybridHyperparams(
-            cp=_resolve(args, cfg, "cp", defaults.cp),
-            maxdepth=_resolve(args, cfg, "maxdepth", defaults.maxdepth),
-            zero_threshold=_resolve(args, cfg, "zero_threshold", defaults.zero_threshold),
-            glm_which=_resolve(args, cfg, "glm_which", defaults.glm_which),
-            glm_lambda=_parse_glm_lambda(_resolve(args, cfg, "glm_lambda", defaults.glm_lambda)),
-            min_node_for_linear=_resolve(
-                args, cfg, "min_node_for_linear", defaults.min_node_for_linear
-            ),
-            severity_learner=_resolve(args, cfg, "severity_learner", defaults.severity_learner),
-            minsplit=_resolve(args, cfg, "minsplit", defaults.minsplit),
-        )
-    except ValueError as exc:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
         raise CliValidationError(str(exc)) from exc
 
 
@@ -224,27 +218,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, seed) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config_file(args)
-    defaults = SimConfig()
-    try:
-        sim_cfg = SimConfig(
-            n=_resolve(args, cfg, "n", defaults.n),
-            p_continuous=_resolve(args, cfg, "p_continuous", defaults.p_continuous),
-            p_categorical=_resolve(args, cfg, "p_categorical", defaults.p_categorical),
-            rho=_resolve(args, cfg, "rho", defaults.rho),
-            beta_poisson=np.asarray(cfg["beta_poisson"], dtype=float)
-            if "beta_poisson" in cfg
-            else defaults.beta_poisson,
-            beta_gamma=np.asarray(cfg["beta_gamma"], dtype=float)
-            if "beta_gamma" in cfg
-            else defaults.beta_gamma,
-            power=_resolve(args, cfg, "power", defaults.power),
-            phi=_resolve(args, cfg, "phi", defaults.phi),
-            noise_sd=_resolve(args, cfg, "noise_sd", defaults.noise_sd),
-            seed=_resolve(args, cfg, "seed", defaults.seed),
-        )
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from exc
+    sim_cfg = _from_flags(SimConfig, args, _load_config_file(args))
     expected = ["portfolio.csv", "schema.json", "manifest.json"]
     if args.latents:
         expected.append("latents.csv")
@@ -266,7 +240,7 @@ def _load_dataset(data_path: str, schema_path: str) -> Dataset:
 
 def cmd_train(args) -> int:
     cfg = _load_config_file(args)
-    hp = _resolve_hyperparams(args, cfg)
+    hp = _from_flags(HybridHyperparams, args, cfg)
     seed = _resolve(args, cfg, "seed", 0)
     ds = _load_dataset(args.data, args.schema)
     out = _prepare_out_dir(
@@ -277,17 +251,7 @@ def cmd_train(args) -> int:
     report = {
         "n": ds.n,
         "n_terminals": len(model.tree.terminal_ids()),
-        "terminals": [
-            {
-                "node_id": s.node_id,
-                "n": s.n,
-                "n_positive": s.n_positive,
-                "zero_fraction": s.zero_fraction,
-                "beta_f": s.beta_f,
-                "model_kind": s.model_kind,
-            }
-            for s in model.terminal_summaries
-        ],
+        "terminals": [asdict(s) for s in model.terminal_summaries],
     }
     with open(out / "fit_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -309,7 +273,7 @@ def _hybrid_learner(hp: HybridHyperparams, seed: int):
 
 def cmd_tune(args) -> int:
     cfg = _load_config_file(args)
-    base = _resolve_hyperparams(args, cfg)
+    base = _from_flags(HybridHyperparams, args, cfg)
     seed = _resolve(args, cfg, "seed", 0)
     folds = _resolve(args, cfg, "folds", 10)
     try:
@@ -319,7 +283,7 @@ def cmd_tune(args) -> int:
         raise CliValidationError(f"cannot read grid file {args.grid}: {exc}") from exc
     if not isinstance(grid, dict) or not grid:
         raise CliValidationError("grid file must map hyperparameter names to value lists")
-    known = set(HybridHyperparams().to_dict())
+    known = {f.name for f in fields(HybridHyperparams)}
     unknown = set(grid) - known
     if unknown:
         raise CliValidationError(f"unknown grid hyperparameters: {sorted(unknown)}")
@@ -327,8 +291,11 @@ def cmd_tune(args) -> int:
     out = _prepare_out_dir(args.out, args.force, ["winner.json", "cv_table.csv", "manifest.json"])
 
     def factory(params: dict):
-        merged = {**base.to_dict(), **params}
-        return _hybrid_learner(HybridHyperparams(**merged), seed)
+        try:
+            hp = replace(base, **params)
+        except (TypeError, ValueError) as exc:
+            raise CliValidationError(f"grid cell {params}: {exc}") from exc
+        return _hybrid_learner(hp, seed)
 
     result = grid_search(ds, grid, k=folds, seed=seed, learner_factory=factory)
     winner_hp = {**base.to_dict(), **result.winner.params}
@@ -419,17 +386,8 @@ def cmd_compare(args) -> int:
         models.append((name, lambda ds, m=stored: predict_batch(m, ds)[2]))
     if not args.no_baselines:
         models.append(("constant_mean", constant_mean_learner(ds_train)))
-        base = _resolve_hyperparams(args, cfg)
-        mean_leaf_hp = HybridHyperparams(
-            cp=base.cp,
-            maxdepth=base.maxdepth,
-            zero_threshold=1.0,
-            glm_which=base.glm_which,
-            glm_lambda=base.glm_lambda,
-            min_node_for_linear=10**9,
-            severity_learner=base.severity_learner,
-            minsplit=base.minsplit,
-        )
+        base = _from_flags(HybridHyperparams, args, cfg)
+        mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
         tree_model = fit(ds_train, mean_leaf_hp, seed=seed)
         models.append(("mean_leaf_tree", lambda ds, m=tree_model: predict_batch(m, ds)[2]))
     if len(models) < 2:

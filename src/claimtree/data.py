@@ -210,9 +210,9 @@ def save_schema(columns, path) -> None:
 def load_csv(path, schema) -> Dataset:
     """Parse a header-row CSV into a Dataset according to ``schema``.
 
-    Rejects missing columns, missing values, unparseable numbers and
-    unknown category labels; error messages name the data row (1-based)
-    and column.
+    Rejects missing columns, missing values, unparseable or non-finite
+    numbers and unknown category labels; error messages name the data row
+    (1-based) and column.
     """
     schema = validate_schema(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -250,6 +250,12 @@ def load_csv(path, schema) -> Dataset:
                         ) from None
             rows.append(parsed)
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(schema)))
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: row {r + 1}, column {schema[j].name!r}: non-finite value {values[r, j]}"
+        )
     return Dataset(schema, values)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,8 +57,7 @@ class HybridHyperparams:
     minsplit: int = 8
 
     def __post_init__(self):
-        if self.cp < 0:
-            raise ValueError("cp must be >= 0")
+        self.tree_hyperparams()  # validates cp, maxdepth and minsplit
         if not 0.0 <= self.zero_threshold <= 1.0:
             raise ValueError("zero_threshold must lie in [0, 1]")
         if self.min_node_for_linear < 2:
@@ -67,17 +66,11 @@ class HybridHyperparams:
             raise ValueError("severity_learner must be 'ols' or 'elastic_net'")
         PenaltySpec(self.glm_which, self.glm_lambda)  # validates the pair
 
+    def tree_hyperparams(self) -> TreeHyperparams:
+        return TreeHyperparams(cp=self.cp, maxdepth=self.maxdepth, minsplit=self.minsplit)
+
     def to_dict(self) -> dict:
-        return {
-            "cp": self.cp,
-            "maxdepth": self.maxdepth,
-            "zero_threshold": self.zero_threshold,
-            "glm_which": self.glm_which,
-            "glm_lambda": self.glm_lambda,
-            "min_node_for_linear": self.min_node_for_linear,
-            "severity_learner": self.severity_learner,
-            "minsplit": self.minsplit,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -100,6 +93,8 @@ class NodeModel:
 
 @dataclass
 class TerminalSummary:
+    """One terminal as reported in ``model.json`` and ``fit_report.json``."""
+
     node_id: int
     n: int
     n_positive: int
@@ -116,7 +111,25 @@ class HybridModel:
     schema: tuple[Column, ...]
     encoded_features: list[str]
     fit_metadata: dict = field(default_factory=dict)
-    terminal_summaries: list[TerminalSummary] = field(default_factory=list)
+    # Share of zero responses among each terminal's training rows; the one
+    # per-terminal fact the tree does not hold.
+    zero_fractions: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def terminal_summaries(self) -> list[TerminalSummary]:
+        """One row per terminal, in node-id order, from the tree and node models."""
+        nodes = self.tree.nodes
+        return [
+            TerminalSummary(
+                node_id=tid,
+                n=nodes[tid].n_node,
+                n_positive=nodes[tid].n_positive,
+                zero_fraction=self.zero_fractions[tid],
+                beta_f=nodes[tid].beta_f,
+                model_kind=self.node_models[tid].kind,
+            )
+            for tid in self.tree.terminal_ids()
+        ]
 
 
 def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
@@ -130,8 +143,7 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     """
     if ds.n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    tree_hp = TreeHyperparams(cp=hp.cp, maxdepth=hp.maxdepth, minsplit=hp.minsplit)
-    full = grow(ds, tree_hp)
+    full = grow(ds, hp.tree_hyperparams())
     tree = prune(full, cp_to_alpha(full, hp.cp))
 
     X, names = feature_matrix(ds)
@@ -139,23 +151,13 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     terminal_of = tree.classify_batch(X)
 
     node_models: dict[int, NodeModel] = {}
-    summaries: list[TerminalSummary] = []
+    zero_fractions: dict[int, float] = {}
     for tid in tree.terminal_ids():
         rows = np.nonzero(terminal_of == tid)[0]
-        node = tree.nodes[tid]
         y_node = y[rows]
-        zero_fraction = float((y_node == 0.0).mean()) if rows.size else 1.0
-        model = _fit_node_model(X[rows], y_node, names, node.beta_f, zero_fraction, hp, seed, tid)
-        node_models[tid] = model
-        summaries.append(
-            TerminalSummary(
-                node_id=tid,
-                n=node.n_node,
-                n_positive=node.n_positive,
-                zero_fraction=zero_fraction,
-                beta_f=node.beta_f,
-                model_kind=model.kind,
-            )
+        zero_fractions[tid] = float((y_node == 0.0).mean()) if rows.size else 1.0
+        node_models[tid] = _fit_node_model(
+            X[rows], y_node, names, tree.nodes[tid].beta_f, zero_fractions[tid], hp, seed, tid
         )
     return HybridModel(
         tree=tree,
@@ -164,7 +166,7 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
         schema=ds.columns,
         encoded_features=names,
         fit_metadata={"seed": seed, "software_version": __version__},
-        terminal_summaries=summaries,
+        zero_fractions=zero_fractions,
     )
 
 
@@ -327,17 +329,7 @@ def to_json(model: HybridModel) -> str:
         "tree": tree_to_dict(model.tree),
         "node_models": {str(tid): _node_model_to_dict(nm) for tid, nm in model.node_models.items()},
         "fit_metadata": model.fit_metadata,
-        "terminal_summaries": [
-            {
-                "node_id": s.node_id,
-                "n": s.n,
-                "n_positive": s.n_positive,
-                "zero_fraction": s.zero_fraction,
-                "beta_f": s.beta_f,
-                "model_kind": s.model_kind,
-            }
-            for s in model.terminal_summaries
-        ],
+        "terminal_summaries": [asdict(s) for s in model.terminal_summaries],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -376,17 +368,6 @@ def load(path) -> HybridModel:
         node_models = {
             int(tid): _node_model_from_dict(d) for tid, d in payload["node_models"].items()
         }
-        summaries = [
-            TerminalSummary(
-                node_id=s["node_id"],
-                n=s["n"],
-                n_positive=s["n_positive"],
-                zero_fraction=s["zero_fraction"],
-                beta_f=s["beta_f"],
-                model_kind=s["model_kind"],
-            )
-            for s in payload.get("terminal_summaries", [])
-        ]
         return HybridModel(
             tree=tree,
             node_models=node_models,
@@ -394,7 +375,9 @@ def load(path) -> HybridModel:
             schema=schema,
             encoded_features=list(payload["encoded_features"]),
             fit_metadata=payload.get("fit_metadata", {}),
-            terminal_summaries=summaries,
+            zero_fractions={
+                s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]
+            },
         )
     except ModelLoadError:
         raise

@@ -9,9 +9,8 @@ noise perturbs positive totals.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,16 +81,9 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "p_continuous": self.p_continuous,
-            "p_categorical": self.p_categorical,
-            "rho": self.rho,
+            **asdict(self),
             "beta_poisson": [float(v) for v in self.beta_poisson],
             "beta_gamma": [float(v) for v in self.beta_gamma],
-            "power": self.power,
-            "phi": self.phi,
-            "noise_sd": self.noise_sd,
-            "seed": self.seed,
         }
 
     @staticmethod
@@ -220,8 +212,3 @@ def save_latents_csv(portfolio: SimulatedPortfolio, path) -> None:
                 f"{i},{float(portfolio.lam[i])!r},{int(portfolio.n_claims[i])},"
                 f"{float(portfolio.gamma_shape)!r},{float(portfolio.gamma_rate[i])!r}\n"
             )
-
-
-def load_config(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SimConfig.from_dict(json.load(fh))

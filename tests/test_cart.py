@@ -239,6 +239,12 @@ class TestGrow:
         for nid in tree.internal_ids():
             assert tree.nodes[nid].n_node >= 25
 
+    def test_maxdepth_capped_at_30(self):
+        assert TreeHyperparams(maxdepth=30).maxdepth == 30
+        for bad in (0, 31):
+            with pytest.raises(ValueError, match=r"maxdepth must lie in \[1, 30\]"):
+                TreeHyperparams(maxdepth=bad)
+
     def test_empty_dataset_errors(self):
         ds = make_dataset(np.empty((0, 1)), np.empty(0))
         with pytest.raises(ValueError, match="empty"):

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from claimtree.cli import main
 from claimtree.hybrid import load, predict
 from claimtree.data import load_csv, load_schema
+from claimtree.simulate import SimConfig, simulate
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,22 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_config"]["seed"] == 9
 
+    def test_config_file_coefficients_honoured(self, tmp_path):
+        cfg = {
+            "n": 40, "p_continuous": 2, "p_categorical": 1, "seed": 4, "noise_sd": 0.0,
+            "beta_poisson": [0.5, 1.0, -1.0, 0.2], "beta_gamma": [4.0, 0.3, 0.0, -0.3],
+        }
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "betas"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"]["beta_poisson"] == cfg["beta_poisson"]
+        assert manifest["resolved_config"]["beta_gamma"] == cfg["beta_gamma"]
+        written = load_csv(out / "portfolio.csv", load_schema(out / "schema.json"))
+        expected = simulate(SimConfig(**cfg)).dataset
+        np.testing.assert_array_equal(written.values, expected.values)
+
 
 class TestTrain:
     def test_outputs_exist(self, trained):
@@ -95,6 +113,61 @@ class TestTrain:
             "--zero-threshold", "1.01",
         ])
         assert code == 1
+
+    def test_fit_report_terminals_match_model_json(self, trained):
+        report = json.loads((trained / "fit_report.json").read_text())
+        model_json = json.loads((trained / "model.json").read_text())
+        assert report["terminals"] == model_json["terminal_summaries"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--maxdepth", "0"], ["--maxdepth", "31"], ["--minsplit", "1"]]
+    )
+    def test_tree_settings_validation(self, portfolio, tmp_path, flags):
+        code = main([
+            "train",
+            "--data", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(tmp_path / "m"),
+            *flags,
+        ])
+        assert code == 1
+
+    def test_config_string_lambda_and_flag_override(self, portfolio, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "glm_lambda": "0.5", "glm_which": 0.5, "maxdepth": 5, "cp": 0.001,
+            "zero_threshold": 0.4, "seed": 3,
+        }), encoding="utf-8")
+        out = tmp_path / "fromcfg"
+        code = main([
+            "train",
+            "--config", str(cfg),
+            "--data", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(out),
+            "--maxdepth", "2",
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 3
+        assert manifest["resolved_config"]["hyperparams"] == {
+            "cp": 0.001, "maxdepth": 2, "zero_threshold": 0.4, "glm_which": 0.5,
+            "glm_lambda": 0.5, "min_node_for_linear": 40,
+            "severity_learner": "elastic_net", "minsplit": 8,
+        }
+
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "x1", "kind": "continuous"}, {"name": "y", "kind": "response"},
+        ]}), encoding="utf-8")
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n1.0,0\ninf,3\n", encoding="utf-8")
+        code = main([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "m"),
+        ])
+        assert code == 2
+        assert "row 2, column 'x1': non-finite value inf" in capsys.readouterr().err
 
     def test_retrain_byte_identical(self, portfolio, trained, tmp_path):
         out = tmp_path / "again"
@@ -261,6 +334,24 @@ class TestTune:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "grid", [{"zero_threshold": [0.25, 2.0]}, {"maxdepth": [0, 3]}]
+    )
+    def test_invalid_grid_cell_is_validation_error(self, portfolio, tmp_path, grid):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid), encoding="utf-8")
+        code = main([
+            "tune",
+            "--data", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--grid", str(grid_file),
+            "--folds", "2",
+            "--out", str(tmp_path / "t"),
+            "--maxdepth", "2",
+            "--severity-learner", "ols",
+        ])
+        assert code == 1
+
 
 class TestCompareAndExport:
     @pytest.mark.filterwarnings("ignore:gini index. constant predictions")
@@ -281,6 +372,18 @@ class TestCompareAndExport:
         assert len(csv_text.splitlines()) == 1 + 2 * 3  # header + 2 splits x 3 models
         svg = (out / "comparison.svg").read_text()
         assert svg.count("<rect") == 2 * 3 * 7
+
+    @pytest.mark.parametrize("flags", [["--maxdepth", "0"], ["--minsplit", "1"]])
+    def test_tree_settings_validation(self, portfolio, tmp_path, flags):
+        code = main([
+            "compare",
+            "--train", str(portfolio / "portfolio.csv"),
+            "--test", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(tmp_path / "cmp"),
+            *flags,
+        ])
+        assert code == 1
 
     def test_export_tree_dot_structure(self, trained, tmp_path):
         """Exported text satisfies a line-level DOT grammar."""

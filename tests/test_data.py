@@ -49,6 +49,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2.*missing value"):
             load_csv(f, SIMPLE_SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_number_names_row_and_column(self, tmp_path, cell):
+        f = write(tmp_path / "d.csv", f"x1,y\n1.0,0\n2.0,3\n4.0,{cell}\n")
+        with pytest.raises(DataError, match=rf"row 3, column 'y': non-finite value {cell}$"):
+            load_csv(f, SIMPLE_SCHEMA)
+
     def test_unknown_category(self, tmp_path):
         schema = (Column("c", "categorical", ("a", "b")), Column("y", "response"))
         f = write(tmp_path / "d.csv", "c,y\na,1\nz,2\n")

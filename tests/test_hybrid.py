@@ -78,6 +78,26 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             HybridHyperparams(glm_lambda=-1.0)
 
+    @pytest.mark.parametrize(
+        "bad", [{"cp": -1.0}, {"maxdepth": 0}, {"maxdepth": 31}, {"minsplit": 1}]
+    )
+    def test_tree_settings_validated(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            HybridHyperparams(**bad)
+
+    def test_depth_30_tree_fits_and_predicts(self):
+        # A 1-in-3 pattern along one feature peels off one row per split;
+        # unbounded depth used to overflow the int64 heap node ids.
+        x = np.arange(400.0)
+        y = np.where(np.arange(400) % 3 == 0, 10.0, 0.0)
+        ds = Dataset((Column("x", "continuous"), Column("y", "response")), np.column_stack([x, y]))
+        model = fit(ds, HybridHyperparams(maxdepth=30, minsplit=2, severity_learner="ols"))
+        assert model.tree.depth() == 30
+        assert max(model.tree.nodes) < 2**31
+        terminal_of, _, clipped = predict_batch(model, ds)
+        assert set(terminal_of) <= set(model.tree.terminal_ids())
+        assert [predict(model, [v]) for v in x[:30]] == list(clipped[:30])
+
 
 class TestNodeModelAssignment:
     def test_zero_threshold_zero_means_any_zero_claims_zero_node(self):
@@ -251,6 +271,26 @@ class TestSerialization:
         _, raw_b, clip_b = predict_batch(back, fresh)
         np.testing.assert_array_equal(raw_a, raw_b)
         np.testing.assert_array_equal(clip_a, clip_b)
+
+    def test_round_trip_keeps_terminal_summaries(self, tmp_path):
+        model, _ = self.fitted_elastic()
+        path = tmp_path / "model.json"
+        save(model, path)
+        back = load(path)
+        assert back.zero_fractions == model.zero_fractions
+        assert back.terminal_summaries == model.terminal_summaries
+        stored = json.loads(path.read_text())["terminal_summaries"]
+        assert [s["node_id"] for s in stored] == model.tree.terminal_ids()
+
+    def test_model_deeper_than_30_rejected(self, tmp_path):
+        model, _ = self.fitted_elastic()
+        path = tmp_path / "model.json"
+        save(model, path)
+        payload = json.loads(path.read_text())
+        payload["hyperparams"]["maxdepth"] = 31
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelLoadError, match="maxdepth"):
+            load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         model, _ = self.fitted_elastic(11)
