@@ -147,6 +147,8 @@ class Tree:
         stack = [(1, np.arange(X.shape[0]))]
         while stack:
             nid, idx = stack.pop()
+            if idx.size == 0:
+                continue
             node = self.nodes[nid]
             if node.is_terminal:
                 out[idx] = nid

@@ -204,6 +204,12 @@ def _check_out_file(path: str, force: bool) -> Path:
     return out
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir: Path, command: str, resolved: dict, seed) -> None:
     manifest = {
         "command": command,
@@ -212,9 +218,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, seed) -> None:
         "resolved_config": resolved,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_simulate(args) -> int:
@@ -253,9 +257,7 @@ def cmd_train(args) -> int:
         "n_terminals": len(model.tree.terminal_ids()),
         "terminals": [asdict(s) for s in model.terminal_summaries],
     }
-    with open(out / "fit_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "fit_report.json", report)
     with open(out / "coefficients.csv", "w", encoding="utf-8") as fh:
         fh.write(format_coefficient_table(model))
     _write_manifest(out, "train", {"hyperparams": hp.to_dict(), "data": args.data}, seed)
@@ -299,18 +301,14 @@ def cmd_tune(args) -> int:
 
     result = grid_search(ds, grid, k=folds, seed=seed, learner_factory=factory)
     winner_hp = {**base.to_dict(), **result.winner.params}
-    with open(out / "winner.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "hyperparams": winner_hp,
-                "mean_rmse": result.winner.mean_rmse,
-                "sd_rmse": result.winner.sd_rmse,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(
+        out / "winner.json",
+        {
+            "hyperparams": winner_hp,
+            "mean_rmse": result.winner.mean_rmse,
+            "sd_rmse": result.winner.sd_rmse,
+        },
+    )
     with open(out / "cv_table.csv", "w", encoding="utf-8") as fh:
         fh.write(cv_table_csv(result))
     _write_manifest(
@@ -346,9 +344,7 @@ def cmd_evaluate(args) -> int:
         )
     out = _check_out_file(args.out, args.force)
     report = compute_metrics(ds.response, predictions)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, report.as_dict())
     print(f"wrote {out} (R^2 {report.r2:.4f}, RMSE {report.rmse:.6g})")
     return 0
 

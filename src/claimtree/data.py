@@ -138,7 +138,7 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return sum(self._encoded_width(c) for c in self.feature_columns)
+        return sum(col.kind == "continuous" for col, _, _ in _encoding(self.columns))
 
     @property
     def feature_columns(self) -> tuple[Column, ...]:
@@ -173,12 +173,6 @@ class Dataset:
             if c.name == name:
                 return i
         raise DataError(f"no column named {name!r}")
-
-    @staticmethod
-    def _encoded_width(col: Column) -> int:
-        if col.kind == "categorical":
-            return len(col.categories) - 1
-        return 1
 
     def subset(self, row_idx: np.ndarray) -> "Dataset":
         return Dataset(self.columns, self.values[row_idx])
@@ -275,38 +269,52 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow(record)
 
 
+def _encoding(columns: tuple[Column, ...]):
+    """The one encoding rule, from the schema alone: yields a ``(column,
+    source index, level)`` entry per encoded column. A k-level categorical
+    gives k-1 indicators against its first category (two levels keep the
+    name, more become ``name=label``); other columns pass with level None.
+    """
+    for j, col in enumerate(columns):
+        if col.kind != "categorical":
+            yield col, j, None
+        elif len(col.categories) == 2:
+            yield Column(col.name, "continuous"), j, 1
+        else:
+            for level, label in enumerate(col.categories[1:], start=1):
+                yield Column(f"{col.name}={label}", "continuous"), j, level
+
+
+def _encoded_values(ds: Dataset, entries) -> np.ndarray:
+    # One gather copies every source column; indicators become == level.
+    out = ds.values[:, [j for _, j, _ in entries]]
+    for i, (_, _, level) in enumerate(entries):
+        if level is not None:
+            out[:, i] = out[:, i] == level
+    return out
+
+
 def encode_categoricals(ds: Dataset) -> Dataset:
     """Dummy-encode categorical columns: k levels become k-1 indicators.
 
     The first category is the reference level. Two-level columns keep their
     name and 0/1 values; wider columns expand to ``name=label`` indicators.
-    Row count and order are preserved.
+    Row count and order are preserved; response and count stay in place.
     """
-    new_cols: list[Column] = []
-    new_vals: list[np.ndarray] = []
-    for j, col in enumerate(ds.columns):
-        vals = ds.values[:, j]
-        if col.kind != "categorical":
-            new_cols.append(col)
-            new_vals.append(vals)
-            continue
-        k = len(col.categories)
-        if k == 2:
-            new_cols.append(Column(col.name, "continuous"))
-            new_vals.append((vals == 1).astype(float))
-            continue
-        for level in range(1, k):
-            new_cols.append(Column(f"{col.name}={col.categories[level]}", "continuous"))
-            new_vals.append((vals == level).astype(float))
-    return Dataset(tuple(new_cols), np.column_stack(new_vals))
+    entries = list(_encoding(ds.columns))
+    return Dataset(tuple(col for col, _, _ in entries), _encoded_values(ds, entries))
 
 
 def feature_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Encoded feature matrix and its column names (response/count dropped)."""
-    enc = encode_categoricals(ds)
-    names = [c.name for c in enc.feature_columns]
-    idx = [i for i, c in enumerate(enc.columns) if c.kind in ("continuous", "categorical")]
-    return enc.values[:, idx], names
+    """Encoded feature matrix (a fresh array) and its column names; every
+    encoded column is continuous, so response and count drop out."""
+    entries = [e for e in _encoding(ds.columns) if e[0].kind == "continuous"]
+    return _encoded_values(ds, entries), [col.name for col, _, _ in entries]
+
+
+def nonconstant_columns(X: np.ndarray) -> np.ndarray:
+    """Mask of the columns of X holding two or more distinct values (none with < 2 rows)."""
+    return (X[1:] != X[:1]).any(axis=0)
 
 
 def standardize(ds: Dataset, columns: list[str]) -> tuple[Dataset, Standardization]:

@@ -21,9 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Standardization, standardize_matrix
+from .data import Standardization, nonconstant_columns, standardize_matrix
 
 LAMBDA_MIN = "lambda.min"
+
+CD_TOL = 1e-7  # coordinate descent stops once a sweep moves no coefficient by this much
+N_LAMBDAS = 100  # lambda.min path length, from lambda_max ...
+LAMBDA_RATIO = 1e-4  # ... down to lambda_max * LAMBDA_RATIO
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -135,7 +139,7 @@ def coordinate_descent(
     y: np.ndarray,
     alpha: float,
     lam: float,
-    tol: float = 1e-7,
+    tol: float = CD_TOL,
     max_iter: int = 10_000,
     beta0: np.ndarray | None = None,
     record_objective: bool = False,
@@ -242,7 +246,6 @@ def fit_elastic_net(
     X,
     y,
     penalty: PenaltySpec,
-    tol: float = 1e-7,
     max_iter: int = 10_000,
     feature_names=None,
     cv_folds: int = 10,
@@ -264,7 +267,7 @@ def fit_elastic_net(
     if lam == LAMBDA_MIN:
         lam = lambda_path_cv(X, y, penalty.alpha, k=cv_folds, seed=cv_seed).lambda_min
     Xs, st = standardize_matrix(X, list(feature_names))
-    res = coordinate_descent(Xs, y - y.mean(), penalty.alpha, lam, tol=tol, max_iter=max_iter)
+    res = coordinate_descent(Xs, y - y.mean(), penalty.alpha, lam, max_iter=max_iter)
     if not res.converged:
         warnings.warn(
             f"coordinate descent did not converge in {max_iter} sweeps", RuntimeWarning
@@ -294,37 +297,28 @@ def lambda_max(X_std: np.ndarray, y_centered: np.ndarray, alpha: float) -> float
     return float(np.abs(X_std.T @ y_centered).max() / (n * alpha_eff))
 
 
-def lambda_path_cv(
-    X,
-    y,
-    alpha: float,
-    k: int = 10,
-    seed: int = 0,
-    n_lambdas: int = 100,
-    lambda_ratio: float = 1e-4,
-) -> LambdaPath:
+def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath:
     """Cross-validated penalty path: pick lambda.min by k-fold squared error.
 
-    The grid runs 100 log-spaced steps from lambda_max (the smallest value
-    zeroing all coefficients on the full data) down to lambda_max * 1e-4.
-    Folds are contiguous blocks of a seeded shuffle; fits warm-start along
-    the descending path. Ties prefer the larger (more shrunken) lambda.
+    The grid runs N_LAMBDAS log-spaced steps from lambda_max (the smallest
+    value zeroing all coefficients on the full data) down to lambda_max *
+    LAMBDA_RATIO. Folds are contiguous blocks of a seeded shuffle; fits
+    warm-start along the descending path. Ties prefer the larger (more
+    shrunken) lambda.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if not 2 <= k <= n:
         raise ValueError("need n >= k >= 2 folds")
-    keep = np.array([len(np.unique(X[:, j])) > 1 for j in range(X.shape[1])], dtype=bool)
+    keep = nonconstant_columns(X)
     if not keep.any() or np.ptp(y) == 0.0:
-        lam0 = 0.0
-        grid = np.full(1, lam0)
-        return LambdaPath(lam0, grid, np.zeros(1), np.zeros(1))
+        return LambdaPath(0.0, np.zeros(1), np.zeros(1), np.zeros(1))
     Xs, _ = standardize_matrix(X[:, keep])
     lam_top = lambda_max(Xs, y - y.mean(), alpha)
     if lam_top == 0.0:
         return LambdaPath(0.0, np.zeros(1), np.zeros(1), np.zeros(1))
-    grid = np.geomspace(lam_top, lam_top * lambda_ratio, n_lambdas)
+    grid = np.geomspace(lam_top, lam_top * LAMBDA_RATIO, N_LAMBDAS)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     folds = np.array_split(perm, k)
@@ -332,9 +326,7 @@ def lambda_path_cv(
     for fi, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
         Xtr, ytr = X[train_idx], y[train_idx]
-        sub = np.array(
-            [len(np.unique(Xtr[:, j])) > 1 for j in range(Xtr.shape[1])], dtype=bool
-        )
+        sub = nonconstant_columns(Xtr)
         Xtr_s, st = standardize_matrix(Xtr[:, sub])
         ytr_c = ytr - ytr.mean()
         Xte_s = st.apply(X[test_idx][:, sub])

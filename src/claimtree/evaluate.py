@@ -227,16 +227,16 @@ def grid_search(
     ``grid`` with shared k-fold splits.
 
     The winner minimizes mean fold RMSE; exact ties prefer the larger cp,
-    then the smaller maxdepth. Raises if the grid is empty or every cell
-    failed.
+    then the smaller maxdepth. Every learner is built before any fold is
+    fitted, so a bad cell fails at once. Raises if the grid is empty or
+    every cell failed.
     """
     if not grid:
         raise ValueError("empty grid")
     names = list(grid)
-    cells: list[CVCell] = []
-    for combo in itertools.product(*(grid[name] for name in names)):
-        params = dict(zip(names, combo))
-        cells.append(kfold_cv(ds, learner_factory(params), k, seed, params=params))
+    combos = [dict(zip(names, c)) for c in itertools.product(*(grid[name] for name in names))]
+    learners = [learner_factory(params) for params in combos]
+    cells = [kfold_cv(ds, learner, k, seed, params=p) for p, learner in zip(combos, learners)]
     valid = [c for c in cells if c.valid]
     if not valid:
         raise ValueError("every grid cell failed cross-validation")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cart import Tree, TreeHyperparams, cp_to_alpha, grow, prune, to_dot, tree_from_dict, tree_to_dict
-from .data import Column, Dataset, Standardization, feature_matrix, validate_schema
+from .data import Column, Dataset, Standardization, feature_matrix, nonconstant_columns, validate_schema
 from .elastic_net import (
     LAMBDA_MIN,
     LinearFit,
@@ -178,7 +178,7 @@ def _fit_node_model(X_node, y_node, names, beta_f, zero_fraction, hp, seed, tid)
         return NodeModel(kind="zero")
     if y_node.size < hp.min_node_for_linear:
         return NodeModel(kind="mean", value=float(y_node.mean()))
-    active = np.nonzero([len(np.unique(X_node[:, j])) > 1 for j in range(X_node.shape[1])])[0]
+    active = np.nonzero(nonconstant_columns(X_node))[0]
     if active.size == 0:
         return NodeModel(kind="mean", value=float(y_node.mean()))
     X_fit = X_node[:, active]

@@ -11,6 +11,7 @@ from claimtree.data import (
     feature_matrix,
     load_csv,
     load_schema,
+    nonconstant_columns,
     save_csv,
     save_schema,
     standardize,
@@ -204,6 +205,20 @@ class TestEncodeCategoricals:
         X, names = feature_matrix(ds)
         assert names == ["x", "c=-2", "c=1", "c=4"]
         np.testing.assert_array_equal(X, [[0.5, 0.0, 1.0, 0.0]])
+
+
+class TestNonconstantColumns:
+    def test_constant_and_two_value_columns(self):
+        X = np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(nonconstant_columns(X), [False, True, False])
+
+    def test_zero_rows_marks_every_column_constant(self):
+        mask = nonconstant_columns(np.empty((0, 3)))
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, [False, False, False])
+
+    def test_single_row_is_constant(self):
+        np.testing.assert_array_equal(nonconstant_columns(np.array([[1.0, 2.0]])), [False, False])
 
 
 class TestOccurrence:

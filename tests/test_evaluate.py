@@ -233,6 +233,24 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="every grid cell failed"):
             grid_search(ds, {"a": [1, 2]}, k=2, seed=0, learner_factory=broken_factory)
 
+    def test_rejected_later_cell_fails_before_any_fold_is_fitted(self):
+        fitted = []
+
+        def factory(params):
+            if params["shift"] == 2.0:
+                raise ValueError("bad cell")
+
+            def learner(ds_train):
+                fitted.append(params)
+                return lambda ds: np.zeros(ds.n)
+
+            return learner
+
+        ds = dataset_from_xy(np.arange(20.0), np.linspace(0, 5, 20))
+        with pytest.raises(ValueError, match="bad cell"):
+            grid_search(ds, {"shift": [0.0, 2.0]}, k=4, seed=0, learner_factory=factory)
+        assert fitted == []
+
     def test_table_csv_has_cell_rows(self):
         ds = dataset_from_xy(np.arange(20.0), np.linspace(0, 5, 20))
         result = grid_search(ds, {"shift": [0.0, 1.0]}, k=4, seed=0, learner_factory=self.shift_learner)
