@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 
 MEASURES = ("gini", "r2", "ccc", "rmse", "mae", "mape", "mpe")
 HIGHER_IS_BETTER = {"gini": True, "r2": True, "ccc": True, "rmse": False, "mae": False,
@@ -186,8 +186,9 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
 def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int, params: dict | None = None) -> CVCell:
     """Fit on k-1 folds, score RMSE on the held-out fold, k times.
 
-    A learner failure marks the fold (and hence the cell) invalid rather
-    than aborting the whole search.
+    A data or numerical error from the learner marks the fold (and hence
+    the cell) invalid rather than aborting the whole search; any other
+    exception is a bug and propagates.
     """
     folds = fold_indices(ds.n, k, seed)
     all_idx = np.arange(ds.n)
@@ -198,7 +199,9 @@ def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int, params: dict | No
             predictor = learner(ds.subset(train_idx))
             pred = np.asarray(predictor(ds.subset(test_idx)), dtype=float)
             cell.fold_rmse.append(rmse(ds.response[test_idx], pred))
-        except Exception as exc:  # noqa: BLE001 - fold failures are data, not bugs
+        except (DataError, ValueError, ArithmeticError) as exc:
+            # ValueError covers UndefinedMetricError and np.linalg.LinAlgError
+            # (RankDeficiencyError); DataError is not a ValueError.
             cell.failures.append(f"fold {fi}: {exc}")
     return cell
 

@@ -7,9 +7,14 @@ KKT certification and the standardization contract.
 import numpy as np
 import pytest
 
-from claimtree.data import standardize_matrix
+import claimtree.elastic_net as elastic_net
+from claimtree.data import nonconstant_columns, standardize_matrix
 from claimtree.elastic_net import (
+    CD_MAX_ITER,
+    CD_TOL,
     LAMBDA_MIN,
+    LAMBDA_RATIO,
+    N_LAMBDAS,
     PenaltySpec,
     RankDeficiencyError,
     coordinate_descent,
@@ -185,9 +190,12 @@ class TestElasticNet:
         res = coordinate_descent(Xs, yc, alpha=1.0, lam=lam)
         # equality up to the rounding of sum(x^2) = 1 in the standardization
         assert res.beta[0] == pytest.approx(soft_threshold(rho, 2.0 * 50 * lam), rel=1e-12)
-        # and it minimizes the penalized objective (1-D grid oracle)
+        # and it minimizes the penalized objective (1-D grid oracle), with
+        # ||yc - g x||^2 expanded so no n x grid matrix is built
         grid = np.arange(-2 * abs(rho), 2 * abs(rho), 1e-5)
-        obj = ((yc[:, None] - Xs @ grid[None, :]) ** 2).sum(axis=0) / (2 * 50) + lam * np.abs(grid)
+        x = Xs[:, 0]
+        rss = (yc @ yc) - 2.0 * grid * (x @ yc) + grid**2 * (x @ x)
+        obj = rss / (2 * 50) + lam * np.abs(grid)
         assert abs(res.beta[0] - grid[np.argmin(obj)]) <= 1e-4
 
     def test_large_lambda_zeroes_everything(self):
@@ -254,6 +262,51 @@ class TestElasticNet:
         np.testing.assert_allclose(direct, via_std, atol=1e-8)
 
 
+def residual_update_cd(X, y, alpha, lam, beta):
+    """Cyclic coordinate descent that keeps the residual y - X b, from beta."""
+    n, p = X.shape
+    beta = beta.copy()
+    resid = y - X @ beta
+    shrink = 2.0 * n * lam * alpha
+    denom = 1.0 + n * lam * (1.0 - alpha)
+    for _ in range(CD_MAX_ITER):
+        delta = 0.0
+        for j in range(p):
+            old = beta[j]
+            new = soft_threshold(float(X[:, j] @ resid) + old, shrink) / denom
+            if new != old:
+                resid += X[:, j] * (old - new)
+                beta[j] = new
+                delta = max(delta, abs(new - old))
+        if delta < CD_TOL:
+            break
+    return beta
+
+
+def reference_lambda_path_cv(X, y, alpha, k, seed):
+    """lambda.min and the CV curve from a plain loop: each fold on its own,
+    warm-started down the path with residual-update coordinate descent."""
+    keep = nonconstant_columns(X)
+    Xs, _ = standardize_matrix(X[:, keep])
+    lam_top = lambda_max(Xs, y - y.mean(), alpha)
+    grid = np.geomspace(lam_top, lam_top * LAMBDA_RATIO, N_LAMBDAS)
+    perm = np.random.default_rng(seed).permutation(y.shape[0])
+    folds = np.array_split(perm, k)
+    errors = np.zeros((k, grid.size))
+    for fi, test_idx in enumerate(folds):
+        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
+        Xtr, ytr = X[train_idx], y[train_idx]
+        sub = nonconstant_columns(Xtr)
+        Xtr_s, st = standardize_matrix(Xtr[:, sub])
+        Xte_s = st.apply(X[test_idx][:, sub])
+        beta = np.zeros(Xtr_s.shape[1])
+        for li, lam in enumerate(grid):
+            beta = residual_update_cd(Xtr_s, ytr - ytr.mean(), alpha, lam, beta)
+            errors[fi, li] = ((y[test_idx] - (ytr.mean() + Xte_s @ beta)) ** 2).mean()
+    cv_mean = errors.mean(axis=0)
+    return float(grid[np.argmin(cv_mean)]), cv_mean
+
+
 class TestLambdaPath:
     def test_pure_noise_prefers_heavy_shrinkage(self):
         rng = np.random.default_rng(17)
@@ -294,6 +347,63 @@ class TestLambdaPath:
         fit = fit_elastic_net(X, y, PenaltySpec(alpha=1.0, lam=LAMBDA_MIN), cv_folds=4, cv_seed=2)
         assert isinstance(fit.penalty.lam, float)
         assert fit.converged
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("folds", [3, 10, "n"])
+    def test_batched_folds_match_per_fold_reference(self, alpha, folds):
+        rng = np.random.default_rng([22, int(alpha * 2), [3, 10, "n"].index(folds)])
+        # leave-one-out stays at n <= 40: the reference fits n folds in pure Python
+        n = int(rng.integers(12, 41 if folds == "n" else 91))
+        p = int(rng.integers(1, 13))
+        k = n if folds == "n" else folds
+        X = rng.normal(size=(n, p))
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        path = lambda_path_cv(X, y, alpha, k=k, seed=3)
+        lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=3)
+        assert path.lambda_min == lam_min
+        np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_stacked_copies_match_single_problem_bit_for_bit(self, alpha):
+        """The kernel's vectorized steps (k = 4) and its per-problem float
+        steps (k = 1) produce the same iterates."""
+        rng = np.random.default_rng(25)
+        Xs, yc = standardized_problem(rng, 40, 7)
+        G, c = Xs.T @ Xs, Xs.T @ yc
+        single = np.zeros((1, 7))
+        stacked = np.zeros((4, 7))
+        for lam in (0.5, 0.05, 0.005):
+            one = elastic_net._cd_kernel(G[None], c[None], [40], alpha, lam, single, CD_TOL, 500)
+            four = elastic_net._cd_kernel(
+                np.stack([G] * 4), np.stack([c] * 4), [40] * 4, alpha, lam, stacked, CD_TOL, 500
+            )
+            np.testing.assert_array_equal(stacked, np.repeat(single, 4, axis=0))
+            np.testing.assert_array_equal(four[0], np.repeat(one[0], 4))
+        assert one[1].all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_column_constant_in_a_training_fold_matches_reference(self, alpha):
+        """A sparse indicator whose ones all sit in fold 0's test rows."""
+        rng = np.random.default_rng(23)
+        n, k, seed = 60, 10, 4
+        X = rng.normal(size=(n, 4))
+        fold0 = np.array_split(np.random.default_rng(seed).permutation(n), k)[0]
+        X = np.column_stack([X, np.zeros(n)])
+        X[fold0[:2], 4] = 1.0
+        y = X @ np.array([1.0, -0.5, 0.0, 2.0, 3.0]) + rng.normal(size=n)
+        assert not nonconstant_columns(np.delete(X, fold0, axis=0))[4]
+        path = lambda_path_cv(X, y, alpha, k=k, seed=seed)
+        lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
+        assert path.lambda_min == lam_min
+        np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+
+    def test_nonconvergence_warns_with_fold_and_lambda(self, monkeypatch):
+        monkeypatch.setattr(elastic_net, "CD_MAX_ITER", 1)
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(60, 4))
+        y = X @ np.array([1.0, 0.0, 0.0, -2.0]) + 0.1 * rng.normal(size=60)
+        with pytest.warns(RuntimeWarning, match=r"did not converge.*fold \d+, lambda index \d+"):
+            lambda_path_cv(X, y, alpha=0.5, k=4, seed=0)
 
 
 class TestPenaltySpec:

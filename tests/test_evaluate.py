@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from claimtree.data import Column, Dataset
+from claimtree.data import Column, DataError, Dataset
 from claimtree.evaluate import (
     UndefinedMetricError,
     ccc,
@@ -158,7 +158,7 @@ class TestKFold:
 
     def test_failing_learner_marks_cell_invalid(self):
         def broken(ds_train):
-            raise RuntimeError("nope")
+            raise DataError("nope")
 
         ds = dataset_from_xy(np.arange(10.0), np.arange(10.0))
         cell = kfold_cv(ds, broken, k=5, seed=0)
@@ -225,13 +225,40 @@ class TestGridSearch:
     def test_all_failed_raises(self):
         def broken_factory(params):
             def learner(ds_train):
-                raise RuntimeError("nope")
+                raise ZeroDivisionError("nope")
 
             return learner
 
         ds = dataset_from_xy(np.arange(10.0), np.arange(10.0))
         with pytest.raises(ValueError, match="every grid cell failed"):
             grid_search(ds, {"a": [1, 2]}, k=2, seed=0, learner_factory=broken_factory)
+
+    def test_value_error_marks_only_its_fold_failed(self):
+        def factory(params):
+            def learner(ds_train):
+                if params["shift"] == 0.0 and ds_train.n == 13:  # folds 0 and 1 hold out 5 rows
+                    raise ValueError("too few rows")
+                return lambda ds: np.full(ds.n, ds_train.response.mean() + params["shift"])
+
+            return learner
+
+        ds = dataset_from_xy(np.arange(18.0), np.linspace(0, 5, 18))
+        result = grid_search(ds, {"shift": [0.0, 1.0]}, k=4, seed=0, learner_factory=factory)
+        failing, clean = result.cells
+        assert [f.split(":")[0] for f in failing.failures] == ["fold 0", "fold 1"]
+        assert len(failing.fold_rmse) == 2 and not failing.valid
+        assert clean.valid and result.winner is clean
+
+    def test_programming_error_aborts_the_search(self):
+        def factory(params):
+            def learner(ds_train):
+                return ds_train.no_such_attribute
+
+            return learner
+
+        ds = dataset_from_xy(np.arange(20.0), np.linspace(0, 5, 20))
+        with pytest.raises(AttributeError, match="no_such_attribute"):
+            grid_search(ds, {"shift": [0.0, 1.0]}, k=4, seed=0, learner_factory=factory)
 
     def test_rejected_later_cell_fails_before_any_fold_is_fitted(self):
         fitted = []
