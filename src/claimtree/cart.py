@@ -1,7 +1,7 @@
 """Binary classification tree for claim occurrence.
 
-Recursive binary splitting on the weighted-impurity criterion, weakest-link
-cost-complexity pruning on misclassification loss, routing, variable
+Recursive binary splitting on the weighted-impurity criterion, cost-complexity
+pruning on misclassification loss in one bottom-up pass, routing, variable
 importance and DOT export. Node ids follow the heap convention: root is 1,
 the children of node m are 2m and 2m+1.
 """
@@ -248,59 +248,44 @@ def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
 
 
 def prune(tree: Tree, alpha: float) -> Tree:
-    """Weakest-link cost-complexity pruning.
+    """Cost-complexity pruning in one bottom-up pass.
 
-    Returns the subtree minimizing total misclassification loss plus
-    ``alpha`` per terminal. Internal links are collapsed while the cheapest
-    link cost g is strictly below alpha, so alpha = 0 returns the tree
-    unchanged and the returned subtrees are nested in alpha.
+    Returns the subtree that weakest-link pruning reaches: the largest one
+    minimizing total misclassification loss plus ``alpha`` per terminal.
+    Children are pruned first; a node's link cost g is then taken on its
+    already-pruned subtree and the link is cut when g is strictly below
+    alpha, so alpha = 0 returns the tree unchanged and the returned subtrees
+    are nested in alpha. Nodes are copied and kept in pre-order.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    nodes = {nid: replace(nd) for nid, nd in tree.nodes.items()}
-    n_root = nodes[1].n_node
+    n_root = tree.root.n_node
+    kept: list[TreeNode] = []
 
-    def subtree_stats(nid: int) -> tuple[int, int]:
-        # (misclassified count over terminals, number of terminals)
-        node = nodes[nid]
+    def visit(nid: int) -> tuple[int, int]:
+        # (misclassified count over the pruned subtree's terminals, their number)
+        node = replace(tree.nodes[nid])
+        at = len(kept)
+        kept.append(node)
         if node.is_terminal:
             return node.misclassified, 1
-        ml, tl = subtree_stats(2 * nid)
-        mr, tr = subtree_stats(2 * nid + 1)
-        return ml + mr, tl + tr
-
-    def collapse(nid: int) -> None:
-        for child in (2 * nid, 2 * nid + 1):
-            if child in nodes:
-                collapse(child)
-                del nodes[child]
-        nodes[nid].split = None
-        nodes[nid].gain = 0.0
-
-    while True:
-        internal = [nid for nid, nd in nodes.items() if not nd.is_terminal]
-        if not internal:
-            break
+        ml, tl = visit(2 * nid)
+        mr, tr = visit(2 * nid + 1)
+        m_sub, t_sub = ml + mr, tl + tr
         # link cost g = (R(node) - R(subtree)) / (|subtree| - 1), losses over n_root
-        gs = {}
-        for nid in internal:
-            m_sub, t_sub = subtree_stats(nid)
-            gs[nid] = (nodes[nid].misclassified - m_sub) / (n_root * (t_sub - 1))
-        g_min = min(gs.values())
-        if not g_min < alpha:
-            break
-        weakest = [nid for nid, g in gs.items() if g == g_min]
-        for nid in weakest:
-            if nid in nodes and not nodes[nid].is_terminal:
-                collapse(nid)
-    return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=tree.hyperparams)
+        if (node.misclassified - m_sub) / (n_root * (t_sub - 1)) < alpha:
+            del kept[at + 1:]
+            node.split, node.gain = None, 0.0
+            return node.misclassified, 1
+        return m_sub, t_sub
+
+    visit(1)
+    return replace(tree, nodes={nd.id: nd for nd in kept})
 
 
 def cost_complexity(tree: Tree, alpha: float) -> float:
     """Total terminal misclassification loss plus alpha per terminal."""
-    terms = tree.terminal_ids()
-    loss = sum(tree.nodes[t].misclassified for t in terms) / tree.root.n_node
-    return loss + alpha * len(terms)
+    return tree.training_misclassification() + alpha * len(tree.terminal_ids())
 
 
 def cp_to_alpha(tree: Tree, cp: float) -> float:
@@ -380,12 +365,12 @@ def tree_from_dict(d: dict) -> Tree:
             n_node=entry["n"],
             n_positive=entry["n_positive"],
         )
+        nodes[nid] = node  # before the children: pre-order, as grow and prune insert
         if "split" in entry:
             node.split = SplitRule(entry["split"]["feature"], entry["split"]["threshold"])
             node.gain = entry.get("gain", 0.0)
             build(entry["left"], depth + 1)
             build(entry["right"], depth + 1)
-        nodes[nid] = node
 
     build(d["root"], 0)
     return Tree(nodes=nodes, feature_names=list(d["feature_names"]), hyperparams=hp)

@@ -125,9 +125,19 @@ def gen_features(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return np.hstack([cont, cat])
 
 
-def _linear_predictor(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return beta[0] + X @ beta[1:]
+def _log_link_rate(x, beta: np.ndarray, exponent: float, scale: float, label: str):
+    """exp(x beta)^exponent / scale, capped at 1e12 with a warning.
+
+    One feature row gives a float, a matrix gives a vector.
+    """
+    single = np.asarray(x).ndim == 1
+    eta = beta[0] + np.atleast_2d(np.asarray(x, dtype=float)) @ beta[1:]
+    with np.errstate(over="ignore", divide="ignore"):
+        rate = np.exp(eta) ** exponent / scale
+    if np.any(rate > RATE_CAP) or not np.all(np.isfinite(rate)):
+        warnings.warn(f"{label} rate overflow, capping at 1e12", RuntimeWarning)
+        rate = np.minimum(np.nan_to_num(rate, posinf=RATE_CAP), RATE_CAP)
+    return float(rate[0]) if single else rate
 
 
 def lambda_of(x: np.ndarray, config: SimConfig):
@@ -136,14 +146,8 @@ def lambda_of(x: np.ndarray, config: SimConfig):
     Accepts one feature row (returns a float) or a matrix (returns a
     vector). Rates are capped at 1e12 with a warning.
     """
-    single = np.asarray(x).ndim == 1
-    eta = _linear_predictor(x, config.beta_poisson)
-    with np.errstate(over="ignore"):
-        lam = np.exp(eta) ** (2.0 - config.power) / (config.phi * (2.0 - config.power))
-    if np.any(lam > RATE_CAP) or not np.all(np.isfinite(lam)):
-        warnings.warn("claim rate overflow, capping at 1e12", RuntimeWarning)
-        lam = np.minimum(np.nan_to_num(lam, posinf=RATE_CAP), RATE_CAP)
-    return float(lam[0]) if single else lam
+    exponent = 2.0 - config.power
+    return _log_link_rate(x, config.beta_poisson, exponent, config.phi * exponent, "claim")
 
 
 def gamma_params_of(x: np.ndarray, config: SimConfig):
@@ -153,15 +157,10 @@ def gamma_params_of(x: np.ndarray, config: SimConfig):
     exp(x beta)^(1-power) / (phi (power-1)), so larger linear predictors
     mean larger claims.
     """
-    single = np.asarray(x).ndim == 1
     shape = (2.0 - config.power) / (config.power - 1.0)
-    eta = _linear_predictor(x, config.beta_gamma)
-    with np.errstate(over="ignore"):
-        rate = np.exp(eta) ** (1.0 - config.power) / (config.phi * (config.power - 1.0))
-    if np.any(rate > RATE_CAP) or not np.all(np.isfinite(rate)):
-        warnings.warn("severity rate overflow, capping at 1e12", RuntimeWarning)
-        rate = np.minimum(np.nan_to_num(rate, posinf=RATE_CAP), RATE_CAP)
-    return (shape, float(rate[0])) if single else (shape, rate)
+    return shape, _log_link_rate(
+        x, config.beta_gamma, 1.0 - config.power, config.phi * (config.power - 1.0), "severity"
+    )
 
 
 def simulate(config: SimConfig) -> SimulatedPortfolio:

@@ -2,8 +2,11 @@
 
 The split-search and pruning tests check the implementation against
 independent exhaustive enumerations (every candidate split; every pruned
-subtree), which must agree exactly.
+subtree) and against the round-by-round weakest-link loop, which must agree
+exactly.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from claimtree.cart import (
     TreeHyperparams,
     best_split,
     cost_complexity,
+    cp_to_alpha,
     entropy,
     gini,
     grow,
@@ -83,6 +87,48 @@ def enumerate_pruned_terminal_sets(tree):
 def terminal_set_cost(tree, terminals, alpha):
     loss = sum(tree.nodes[t].misclassified for t in terminals) / tree.root.n_node
     return loss + alpha * len(terminals)
+
+
+def weakest_link_prune(tree, alpha):
+    """Textbook weakest-link loop (Breiman et al. 1984, ch. 10).
+
+    Each round scores every internal link of the current subtree and
+    collapses all links of minimal cost g, until that cost reaches alpha.
+    """
+    nodes = {nid: replace(nd) for nid, nd in tree.nodes.items()}
+    n_root = nodes[1].n_node
+
+    def subtree_stats(nid):
+        node = nodes[nid]
+        if node.is_terminal:
+            return node.misclassified, 1
+        ml, tl = subtree_stats(2 * nid)
+        mr, tr = subtree_stats(2 * nid + 1)
+        return ml + mr, tl + tr
+
+    def collapse(nid):
+        for child in (2 * nid, 2 * nid + 1):
+            if child in nodes:
+                collapse(child)
+                del nodes[child]
+        nodes[nid].split = None
+        nodes[nid].gain = 0.0
+
+    while True:
+        internal = [nid for nid, nd in nodes.items() if not nd.is_terminal]
+        if not internal:
+            break
+        gs = {}
+        for nid in internal:
+            m_sub, t_sub = subtree_stats(nid)
+            gs[nid] = (nodes[nid].misclassified - m_sub) / (n_root * (t_sub - 1))
+        g_min = min(gs.values())
+        if not g_min < alpha:
+            break
+        for nid in [nid for nid, g in gs.items() if g == g_min]:
+            if nid in nodes and not nodes[nid].is_terminal:
+                collapse(nid)
+    return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=tree.hyperparams)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +358,37 @@ class TestPrune:
                 got = cost_complexity(pruned, alpha)
                 best = min(terminal_set_cost(tree, ts, alpha) for ts in candidates)
                 assert got == best, f"trial {trial}, alpha {alpha}"
+
+    def test_matches_weakest_link_loop_exactly(self):
+        """Same node ids, dict order and node fields as the round-by-round loop."""
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            n = int(rng.integers(20, 501))
+            p = int(rng.integers(1, 5))
+            if trial % 2:
+                X = rng.integers(0, 5, size=(n, p)).astype(float)
+            else:
+                X = rng.normal(size=(n, p))
+            y = (X[:, 0] + rng.normal(size=n) > 0.5).astype(int)
+            depth, minsplit = int(rng.integers(1, 12)), int(rng.integers(2, 9))
+            tree = grow(make_dataset(X, y), TreeHyperparams(maxdepth=depth, minsplit=minsplit))
+            leaves = len(tree.terminal_ids())
+            alphas = [0.0, 1e-4, 1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0]
+            alphas += [k / (n * L) for k in (1, 2, 3) for L in (1, 2, 3, max(leaves - 1, 1))]
+            alphas += [cp_to_alpha(tree, cp) for cp in (1e-4, 1e-3, 0.01, 0.03, 0.1, 0.5)]
+            for alpha in alphas:
+                got = prune(tree, alpha)
+                want = weakest_link_prune(tree, alpha)
+                assert list(got.nodes) == list(want.nodes), f"trial {trial}, alpha {alpha}"
+                assert got.nodes == want.nodes, f"trial {trial}, alpha {alpha}"
+
+    def test_leaves_the_input_tree_unchanged(self):
+        tree = random_tree(np.random.default_rng(5))
+        before = tree_to_dict(tree)
+        pruned = prune(tree, 0.02)
+        assert len(pruned.nodes) < len(tree.nodes)
+        assert tree_to_dict(tree) == before
+        assert all(pruned.nodes[nid] is not tree.nodes[nid] for nid in pruned.nodes)
 
     def test_nesting_in_alpha(self):
         rng = np.random.default_rng(77)

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from claimtree.cart import Tree, TreeHyperparams, TreeNode
+from claimtree.cart import Tree, TreeHyperparams, TreeNode, variable_importance
 from claimtree.data import Column, Dataset
 from claimtree.elastic_net import LinearFit
 from claimtree.hybrid import (
@@ -281,6 +281,17 @@ class TestSerialization:
         assert back.terminal_summaries == model.terminal_summaries
         stored = json.loads(path.read_text())["terminal_summaries"]
         assert [s["node_id"] for s in stored] == model.tree.terminal_ids()
+
+    def test_round_trip_keeps_node_order_and_importance(self, tmp_path):
+        # variable_importance sums gains in node order, so a loaded tree
+        # must list its nodes in the fitted (pre-order) order
+        ds = simulate(SimConfig(n=1000, seed=0)).dataset
+        model = fit(ds, HybridHyperparams(cp=0.0, severity_learner="ols"))
+        path = tmp_path / "model.json"
+        save(model, path)
+        back = load(path)
+        assert list(back.tree.nodes) == list(model.tree.nodes)
+        assert variable_importance(back.tree) == variable_importance(model.tree)
 
     def test_model_deeper_than_30_rejected(self, tmp_path):
         model, _ = self.fitted_elastic()

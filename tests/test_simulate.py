@@ -90,6 +90,14 @@ class TestLinkFormulas:
             lam = lambda_of(np.array([0.0]), cfg)
         assert lam == 1e12
 
+    def test_severity_overflow_capped_with_one_warning(self):
+        # exp(eta) underflows to 0 and 0 ** (1 - power) is inf: only the cap warns
+        cfg = tiny_config([0.0, 0.0], [-2000.0, 0.0])
+        with pytest.warns(RuntimeWarning) as record:
+            shape, rate = gamma_params_of(np.array([0.0]), cfg)
+        assert [str(w.message) for w in record] == ["severity rate overflow, capping at 1e12"]
+        assert rate == 1e12
+
 
 class TestFeatureLaw:
     def test_adjacent_correlation_near_rho(self):
