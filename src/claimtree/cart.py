@@ -88,6 +88,14 @@ class TreeNode:
         return min(self.n_positive, self.n_node - self.n_positive)
 
 
+def require_int(settings, *names) -> None:
+    """Raise ValueError unless each named field is an int (a bool is not)."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TreeHyperparams:
     cp: float = 0.0
@@ -96,6 +104,7 @@ class TreeHyperparams:
     impurity: str = "gini"
 
     def __post_init__(self):
+        require_int(self, "maxdepth", "minsplit")
         if self.cp < 0:
             raise ValueError("cp must be >= 0")
         if not 1 <= self.maxdepth <= MAX_DEPTH:

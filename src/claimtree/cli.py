@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, Dataset, load_csv, load_schema, save_csv, save_schema
+from .data import DataError, Dataset, load_csv, load_schema, save_csv, save_schema, write_csv
 from .elastic_net import LAMBDA_MIN
 from .evaluate import (
     comparison_svg,
@@ -289,6 +289,11 @@ def cmd_tune(args) -> int:
     unknown = set(grid) - known
     if unknown:
         raise CliValidationError(f"unknown grid hyperparameters: {sorted(unknown)}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise CliValidationError(f"grid values for {key!r} must be a non-empty list")
+    if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
+        raise CliValidationError(f"folds must be an integer >= 2, got {folds!r}")
     ds = _load_dataset(args.data, args.schema)
     out = _prepare_out_dir(args.out, args.force, ["winner.json", "cv_table.csv", "manifest.json"])
 
@@ -326,11 +331,8 @@ def cmd_predict(args) -> int:
     ds = load_csv(args.data, model.schema)
     out = _check_out_file(args.out, args.force)
     terminal_of, raw, clipped = predict_batch(model, ds)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "terminal_id", "raw", "clipped"])
-        for i in range(ds.n):
-            writer.writerow([i, int(terminal_of[i]), repr(float(raw[i])), repr(float(clipped[i]))])
+    header = ["row", "terminal_id", "raw", "clipped"]
+    write_csv(out, header, zip(range(ds.n), terminal_of.tolist(), raw.tolist(), clipped.tolist()))
     print(f"wrote {out} ({ds.n} predictions)")
     return 0
 

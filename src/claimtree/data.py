@@ -99,12 +99,12 @@ def standardize_matrix(X: np.ndarray, names: list[str] | None = None):
         raise DataError("standardize expects a 2-D matrix")
     if names is None:
         names = [f"col{j}" for j in range(X.shape[1])]
+    constant = np.nonzero(~nonconstant_columns(X))[0]
+    if constant.size:
+        raise DataError(f"standardize: column {names[constant[0]]!r} is constant")
     center = X.mean(axis=0)
     centered = X - center
     scale = np.sqrt((centered**2).sum(axis=0))
-    bad = np.nonzero(scale == 0.0)[0]
-    if bad.size:
-        raise DataError(f"standardize: column {names[bad[0]]!r} is constant")
     return centered / scale, Standardization(tuple(names), center, scale)
 
 
@@ -181,11 +181,16 @@ class Dataset:
 def load_schema(path) -> tuple[Column, ...]:
     """Read the JSON schema sidecar: {"columns": [{name, kind, categories?}]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    cols = []
-    for entry in raw["columns"]:
-        cats = entry.get("categories")
-        cols.append(Column(entry["name"], entry["kind"], tuple(cats) if cats else None))
+        try:
+            raw = json.load(fh)
+            cols = []
+            for entry in raw["columns"]:
+                cats = entry.get("categories")
+                cols.append(Column(entry["name"], entry["kind"], tuple(cats) if cats else None))
+        except KeyError as exc:
+            raise DataError(f"malformed schema file {path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed schema file {path}: {exc}") from None
     return validate_schema(cols)
 
 
@@ -215,34 +220,19 @@ def load_csv(path, schema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        pos = {}
+        rules = []  # (header position, cell parser) per schema column
         for col in schema:
             if col.name not in header:
                 raise DataError(f"{path}: missing column {col.name!r}")
-            pos[col.name] = header.index(col.name)
+            # "" is never looked up as a label, so an empty cell fails either parser
+            labels = {label: i for i, label in enumerate(col.categories or ()) if label}
+            rules.append((header.index(col.name), labels.__getitem__ if col.categories else float))
         rows = []
         for r, record in enumerate(reader, start=1):
-            parsed = np.empty(len(schema))
-            for j, col in enumerate(schema):
-                if pos[col.name] >= len(record):
-                    raise DataError(f"{path}: row {r}, column {col.name!r}: missing value")
-                cell = record[pos[col.name]].strip()
-                if cell == "":
-                    raise DataError(f"{path}: row {r}, column {col.name!r}: missing value")
-                if col.kind == "categorical":
-                    if cell not in col.categories:
-                        raise DataError(
-                            f"{path}: row {r}, column {col.name!r}: unknown category {cell!r}"
-                        )
-                    parsed[j] = col.categories.index(cell)
-                else:
-                    try:
-                        parsed[j] = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {r}, column {col.name!r}: cannot parse {cell!r}"
-                        ) from None
-            rows.append(parsed)
+            try:
+                rows.append(np.array([parse(record[pos].strip()) for pos, parse in rules], dtype=float))
+            except (IndexError, KeyError, ValueError):
+                raise _row_error(path, r, record, schema, rules) from None
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(schema)))
     finite = np.isfinite(values)
     if not finite.all():
@@ -253,20 +243,32 @@ def load_csv(path, schema) -> Dataset:
     return Dataset(schema, values)
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV; categorical indices become labels."""
+def _row_error(path, r, record, schema, rules) -> DataError:
+    """The error for the first bad cell, in schema order, of a row that failed to parse."""
+    for col, (pos, parse) in zip(schema, rules):
+        cell = record[pos].strip() if pos < len(record) else ""
+        try:
+            parse(cell)
+        except (KeyError, ValueError):
+            problem = "unknown category" if col.kind == "categorical" else "cannot parse"
+            problem = f"{problem} {cell!r}" if cell else "missing value"
+            return DataError(f"{path}: row {r}, column {col.name!r}: {problem}")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each of the rows, in the csv module's default dialect."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.columns])
-        for i in range(ds.n):
-            record = []
-            for j, col in enumerate(ds.columns):
-                v = ds.values[i, j]
-                if col.kind == "categorical":
-                    record.append(col.categories[int(v)])
-                else:
-                    record.append(repr(float(v)))
-            writer.writerow(record)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Write a Dataset back to CSV; categorical indices become labels. Rows are
+    formatted one at a time, so no second copy of the table is held."""
+    fmt = [(lambda v, labels=c.categories: labels[int(v)]) if c.categories else repr for c in ds.columns]
+    rows = ([f(v) for f, v in zip(fmt, row)] for row in map(np.ndarray.tolist, ds.values))
+    write_csv(path, [c.name for c in ds.columns], rows)
 
 
 def _encoding(columns: tuple[Column, ...]):

@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .cart import Tree, TreeHyperparams, cp_to_alpha, grow, prune, to_dot, tree_from_dict, tree_to_dict
+from .cart import (
+    Tree, TreeHyperparams, cp_to_alpha, grow, prune, require_int, to_dot, tree_from_dict, tree_to_dict,
+)
 from .data import Column, Dataset, Standardization, feature_matrix, nonconstant_columns, validate_schema
 from .elastic_net import (
     LAMBDA_MIN,
@@ -58,6 +60,7 @@ class HybridHyperparams:
 
     def __post_init__(self):
         self.tree_hyperparams()  # validates cp, maxdepth and minsplit
+        require_int(self, "min_node_for_linear")
         if not 0.0 <= self.zero_threshold <= 1.0:
             raise ValueError("zero_threshold must lie in [0, 1]")
         if self.min_node_for_linear < 2:
@@ -368,6 +371,14 @@ def load(path) -> HybridModel:
         node_models = {
             int(tid): _node_model_from_dict(d) for tid, d in payload["node_models"].items()
         }
+        zero_fractions = {s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]}
+        terminals = set(tree.terminal_ids())
+        for key, ids in (("node_models", set(node_models)), ("terminal_summaries", set(zero_fractions))):
+            if ids != terminals:
+                raise ModelLoadError(
+                    f"malformed model file {path}: {key} must cover exactly the tree's terminals "
+                    f"(missing {sorted(terminals - ids)}, extra {sorted(ids - terminals)})"
+                )
         return HybridModel(
             tree=tree,
             node_models=node_models,
@@ -375,9 +386,7 @@ def load(path) -> HybridModel:
             schema=schema,
             encoded_features=list(payload["encoded_features"]),
             fit_metadata=payload.get("fit_metadata", {}),
-            zero_fractions={
-                s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]
-            },
+            zero_fractions=zero_fractions,
         )
     except ModelLoadError:
         raise

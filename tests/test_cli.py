@@ -132,6 +132,18 @@ class TestTrain:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("cfg", [{"maxdepth": 3.5}, {"minsplit": 8.0}, {"min_node_for_linear": 40.0}])
+    def test_tree_sizes_must_be_integers(self, portfolio, tmp_path, cfg):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main([
+            "train", "--config", str(cfg_file),
+            "--data", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(tmp_path / "m"),
+        ])
+        assert code == 1
+
     def test_config_string_lambda_and_flag_override(self, portfolio, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -335,7 +347,7 @@ class TestTune:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "grid", [{"zero_threshold": [0.25, 2.0]}, {"maxdepth": [0, 3]}]
+        "grid", [{"zero_threshold": [0.25, 2.0]}, {"maxdepth": [0, 3]}, {"maxdepth": [True]}]
     )
     def test_invalid_grid_cell_is_validation_error(self, portfolio, tmp_path, grid):
         grid_file = tmp_path / "grid.json"
@@ -351,6 +363,69 @@ class TestTune:
             "--severity-learner", "ols",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("grid", [{"cp": 0.1}, {"cp": []}, {"maxdepth": [3], "cp": {"a": 1}}])
+    def test_grid_values_must_be_non_empty_lists(self, tmp_path, capsys, grid):
+        # checked before any data is read: the data file does not exist
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid), encoding="utf-8")
+        code = main([
+            "tune", "--data", str(tmp_path / "absent.csv"), "--schema", str(tmp_path / "absent.json"),
+            "--grid", str(grid_file), "--out", str(tmp_path / "t"),
+        ])
+        assert code == 1
+        assert "'cp'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["1", "0", "-2"])
+    def test_fewer_than_two_folds_rejected_before_reading_data(self, tmp_path, folds):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"cp": [0.001]}), encoding="utf-8")
+        code = main([
+            "tune", "--data", str(tmp_path / "absent.csv"), "--schema", str(tmp_path / "absent.json"),
+            "--grid", str(grid_file), "--folds", folds, "--out", str(tmp_path / "t"),
+        ])
+        assert code == 1
+
+    def test_more_folds_than_rows_is_data_error(self, portfolio, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"cp": [0.001]}), encoding="utf-8")
+        code = main([
+            "tune",
+            "--data", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--grid", str(grid_file),
+            "--folds", "401",
+            "--out", str(tmp_path / "t"),
+        ])
+        assert code == 2
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize(
+        "payload", [{}, [], {"columns": 3}, {"columns": [{"kind": "response"}]}]
+    )
+    def test_malformed_schema_is_data_error(self, portfolio, tmp_path, capsys, payload):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "train", "--data", str(portfolio / "portfolio.csv"), "--schema", str(schema),
+            "--out", str(tmp_path / "m"),
+        ])
+        assert code == 2
+        assert f"malformed schema file {schema}" in capsys.readouterr().err
+
+    def test_model_missing_a_node_model_is_data_error(self, portfolio, trained, tmp_path, capsys):
+        payload = json.loads((trained / "model.json").read_text())
+        nonzero = [s["node_id"] for s in payload["terminal_summaries"] if s["beta_f"] == 1]
+        del payload["node_models"][str(nonzero[0])]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(model),
+            "--data", str(portfolio / "portfolio.csv"), "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        assert "malformed model file" in capsys.readouterr().err
 
 
 class TestCompareAndExport:

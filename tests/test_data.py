@@ -109,6 +109,16 @@ class TestSchemaSidecar:
         save_schema(schema, path)
         assert load_schema(path) == schema
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", "[]", '{"columns": 3}', '{"columns": [{"kind": "response"}]}',
+         '{"columns": ["y"]}', '{"columns": [{"name": "y"}]}', "{"],
+    )
+    def test_malformed_schema_names_the_file(self, tmp_path, text):
+        path = write(tmp_path / "schema.json", text)
+        with pytest.raises(DataError, match=f"malformed schema file {path}"):
+            load_schema(path)
+
     def test_schema_requires_single_response(self):
         with pytest.raises(DataError, match="exactly one response"):
             Dataset((Column("x1", "continuous"),), np.zeros((1, 1)))
@@ -135,6 +145,13 @@ class TestStandardize:
     def test_constant_column_named_in_error(self):
         X = np.column_stack([np.arange(3.0), np.full(3, 5.0)])
         with pytest.raises(DataError, match="'c'"):
+            standardize_matrix(X, names=["a", "c"])
+
+    def test_constant_column_with_inexact_mean_rejected(self):
+        # 37 x 0.1 has a mean that is not exactly 0.1, so the centred column
+        # keeps a sum of squares near 1e-31 although every value is equal
+        X = np.column_stack([np.arange(37.0), np.full(37, 0.1)])
+        with pytest.raises(DataError, match="'c' is constant"):
             standardize_matrix(X, names=["a", "c"])
 
     def test_round_trip_inverts_exactly(self):

@@ -85,6 +85,15 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=next(iter(bad))):
             HybridHyperparams(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"maxdepth": 3.5}, {"maxdepth": True}, {"minsplit": 8.0},
+         {"min_node_for_linear": 40.0}, {"min_node_for_linear": False}],
+    )
+    def test_sizes_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            HybridHyperparams(**bad)
+
     def test_depth_30_tree_fits_and_predicts(self):
         # A 1-in-3 pattern along one feature peels off one row per split;
         # unbounded depth used to overflow the int64 heap node ids.
@@ -301,6 +310,23 @@ class TestSerialization:
         payload["hyperparams"]["maxdepth"] = 31
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelLoadError, match="maxdepth"):
+            load(path)
+
+    @pytest.mark.parametrize("edit", ["drop node model", "drop summary", "extra node model"])
+    def test_node_models_must_cover_the_terminals(self, tmp_path, edit):
+        model, _ = self.fitted_elastic()
+        path = tmp_path / "model.json"
+        save(model, path)
+        payload = json.loads(path.read_text())
+        linear = next(t for t, nm in model.node_models.items() if nm.kind == "linear")
+        if edit == "drop node model":
+            del payload["node_models"][str(linear)]
+        elif edit == "drop summary":
+            payload["terminal_summaries"].pop()
+        else:
+            payload["node_models"]["1"] = {"kind": "zero"}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelLoadError, match="cover exactly the tree's terminals"):
             load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
