@@ -56,6 +56,12 @@ IMPURITIES = {"gini": gini, "misclassification": misclassification, "entropy": e
 # Deepest tree allowed, as in rpart: heap node ids then stay below 2**31.
 MAX_DEPTH = 30
 
+# Split search scores a block of about this many (row, feature) cells per
+# set of numpy calls: on small nodes one call then covers many features,
+# and each temporary stays near 64 KB (one column on nodes above 8192 rows)
+# instead of growing with the node's full width.
+_SPLIT_BLOCK_CELLS = 2**13
+
 
 @dataclass(frozen=True)
 class SplitRule:
@@ -189,32 +195,36 @@ def _best_split_scored(X, y, impurity):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n = y.shape[0]
+    if n < 2:
+        return None, 0.0
     pos_total = int(y.sum())
     parent = float(_impurity_vec(impurity, np.array([pos_total / n]))[0])
     best_score = parent
     best = None
-    for j in range(X.shape[1]):
-        xj = X[:, j]
-        order = np.argsort(xj, kind="stable")
-        xs = xj[order]
-        ys = y[order]
-        cut = np.nonzero(xs[1:] != xs[:-1])[0]
-        if cut.size == 0:
-            continue
-        n_left = cut + 1
-        pos_left = np.cumsum(ys)[cut]
-        n_right = n - n_left
+    # Candidate k of a feature cuts its sorted values after position k:
+    # k + 1 rows go left. Each block of features is scored in one set of
+    # numpy calls, laid out feature-major as (features, n - 1), with
+    # positions between equal values set to inf. The first argmin and the
+    # strict comparison across blocks keep ties on the lowest feature, then
+    # the lowest threshold.
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    width = max(1, _SPLIT_BLOCK_CELLS // n)
+    for j0 in range(0, X.shape[1], width):
+        xt = X[:, j0:j0 + width].T
+        order = np.argsort(xt, axis=1, kind="stable")
+        xs = np.take_along_axis(xt, order, axis=1)
+        pos_left = np.cumsum(y[order], axis=1)[:, :-1]
         pos_right = pos_total - pos_left
-        p_left = pos_left / n_left
-        p_right = pos_right / n_right
         score = (
-            n_left * _impurity_vec(impurity, p_left)
-            + n_right * _impurity_vec(impurity, p_right)
+            n_left * _impurity_vec(impurity, pos_left / n_left)
+            + n_right * _impurity_vec(impurity, pos_right / n_right)
         ) / n
-        k = int(np.argmin(score))
-        if score[k] < best_score:
-            best_score = float(score[k])
-            best = SplitRule(j, float((xs[cut[k]] + xs[cut[k] + 1]) / 2.0))
+        score[xs[:, 1:] == xs[:, :-1]] = np.inf
+        f, k = divmod(int(np.argmin(score)), n - 1)
+        if score[f, k] < best_score:
+            best_score = float(score[f, k])
+            best = SplitRule(j0 + f, float((xs[f, k] + xs[f, k + 1]) / 2.0))
     if best is None:
         return None, 0.0
     return best, parent - best_score

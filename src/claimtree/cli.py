@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
@@ -51,9 +52,44 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(message)
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; explicit flags override it")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    sub.add_argument(
+        "--log-level",
+        dest="log_level",
+        choices=LOG_LEVELS,
+        default="warning",
+        help="lowest level of library messages written to stderr (default: warning)",
+    )
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of the moment it is emitted,
+    as logging's last-resort handler does, so a redirection made after
+    configuration (an embedding program's, a test's capture) is honoured."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging(level: str) -> None:
+    """Send the package's messages at ``level`` and above to stderr.
+
+    Safe to call once per ``main`` call: the handler is added only once, so
+    repeated calls in one process change the level and never stack output.
+    """
+    logger = logging.getLogger(__package__)
+    logger.setLevel(level.upper())
+    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        logger.addHandler(_StderrHandler())
 
 
 def build_parser() -> _Parser:
@@ -428,6 +464,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _configure_logging(args.log_level)
         return _COMMANDS[args.command](args)
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

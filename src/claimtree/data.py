@@ -130,6 +130,16 @@ class Dataset:
             raise DataError("dataset contains non-finite values")
         if (self.response < 0).any():
             raise DataError("response column contains negative values")
+        for j, col in enumerate(self.columns):
+            if col.kind == "categorical":
+                cells = values[:, j]
+                bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= len(col.categories))
+                if bad.any():
+                    row = int(np.argmax(bad))
+                    raise DataError(
+                        f"column {col.name!r}: row {row} holds {float(cells[row])!r}, "
+                        f"not a category index in [0, {len(col.categories)})"
+                    )
         self.values.setflags(write=False)
 
     @property
@@ -186,6 +196,11 @@ def load_schema(path) -> tuple[Column, ...]:
             cols = []
             for entry in raw["columns"]:
                 cats = entry.get("categories")
+                if cats is not None and not isinstance(cats, list):
+                    raise DataError(
+                        f"malformed schema file {path}: column {entry['name']!r}: "
+                        "categories must be a list of labels"
+                    )
                 cols.append(Column(entry["name"], entry["kind"], tuple(cats) if cats else None))
         except KeyError as exc:
             raise DataError(f"malformed schema file {path}: missing key {exc}") from None

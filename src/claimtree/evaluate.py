@@ -10,13 +10,15 @@ with nonzero actuals).
 from __future__ import annotations
 
 import itertools
-import warnings
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .data import DataError, Dataset
+
+log = logging.getLogger(__name__)
 
 MEASURES = ("gini", "r2", "ccc", "rmse", "mae", "mape", "mpe")
 HIGHER_IS_BETTER = {"gini": True, "r2": True, "ccc": True, "rmse": False, "mae": False,
@@ -41,14 +43,14 @@ def gini_index(y, yhat) -> float:
     """Ordered Gini index: actuals ranked by ascending prediction.
 
     Ties in the predictions keep original order (and constant predictions
-    trigger a tie warning since the ordering is then arbitrary).
+    log a warning since the ordering is then arbitrary).
     """
     y, yhat = _check_lengths(y, yhat)
     total = y.sum()
     if total <= 0:
         raise UndefinedMetricError("gini index undefined: actuals sum to 0")
     if np.ptp(yhat) == 0.0:
-        warnings.warn("gini index: constant predictions, ordering falls back to input order")
+        log.warning("gini index: constant predictions, ordering falls back to input order")
     order = np.argsort(yhat, kind="stable")
     ranked = y[order]
     n = y.size

@@ -2,8 +2,8 @@
 
 The split-search and pruning tests check the implementation against
 independent exhaustive enumerations (every candidate split; every pruned
-subtree) and against the round-by-round weakest-link loop, which must agree
-exactly.
+subtree), against the feature-at-a-time split search and against the
+round-by-round weakest-link loop, which must agree exactly.
 """
 
 from dataclasses import replace
@@ -11,7 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from claimtree import cart
 from claimtree.cart import (
+    SplitRule,
     Tree,
     TreeHyperparams,
     best_split,
@@ -26,7 +28,8 @@ from claimtree.cart import (
     tree_to_dict,
     variable_importance,
 )
-from claimtree.data import Column, Dataset
+from claimtree.data import Column, Dataset, feature_matrix
+from claimtree.simulate import SimConfig, simulate
 
 
 def make_dataset(X, occurrence):
@@ -66,6 +69,45 @@ def brute_force_best_split(X, y, impurity="gini"):
                 best_score = score
                 best = (j, s)
     return best
+
+
+def per_feature_best_split(X, y, impurity="gini"):
+    """Feature-at-a-time split search, one set of numpy calls per feature.
+
+    The loop that the block kernel replaced, kept as its bitwise reference:
+    the same score expression, midpoints and tie rules. Returns
+    ``(SplitRule, gain)`` or ``(None, 0.0)``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    n = y.shape[0]
+    pos_total = int(y.sum())
+    parent = float(cart._impurity_vec(impurity, np.array([pos_total / n]))[0])
+    best_score = parent
+    best = None
+    for j in range(X.shape[1]):
+        xj = X[:, j]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        ys = y[order]
+        cut = np.nonzero(xs[1:] != xs[:-1])[0]
+        if cut.size == 0:
+            continue
+        n_left = cut + 1
+        pos_left = np.cumsum(ys)[cut]
+        n_right = n - n_left
+        pos_right = pos_total - pos_left
+        score = (
+            n_left * cart._impurity_vec(impurity, pos_left / n_left)
+            + n_right * cart._impurity_vec(impurity, pos_right / n_right)
+        ) / n
+        k = int(np.argmin(score))
+        if score[k] < best_score:
+            best_score = float(score[k])
+            best = SplitRule(j, float((xs[cut[k]] + xs[cut[k] + 1]) / 2.0))
+    if best is None:
+        return None, 0.0
+    return best, parent - best_score
 
 
 def enumerate_pruned_terminal_sets(tree):
@@ -238,6 +280,60 @@ class TestBestSplit:
         assert rule.feature == 0 and rule.threshold == 2.5
 
 
+    def test_fewer_than_two_rows_or_no_features_give_none(self):
+        assert best_split(np.array([[1.0, 2.0]]), np.array([1])) is None
+        assert best_split(np.empty((4, 0)), np.array([0, 1, 0, 1])) is None
+
+
+def block_width(n):
+    return max(1, cart._SPLIT_BLOCK_CELLS // n)
+
+
+def tied_node(rng, n, p):
+    """Heavily tied integer columns, a constant first block and rounded noise."""
+    X = rng.integers(0, 6, size=(n, p)).astype(float)
+    X[:, : block_width(n)] = 3.0  # a whole block with no candidate
+    X[:, -1] = 7.0
+    X[:, p // 2] = np.round(rng.normal(size=n), 1)
+    return X
+
+
+class TestBlockKernel:
+    """Nodes large enough that split search scores several feature blocks."""
+
+    SHAPES = [(2000, 60), (2700, 23), (5000, 30)]
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_large_tied_nodes_match_both_references(self, impurity):
+        rng = np.random.default_rng(31)
+        for n, p in self.SHAPES:
+            assert block_width(n) < p  # more than one block
+            for _ in range(3):
+                X = tied_node(rng, n, p)
+                y = (X[:, p // 2] + X[:, 1 + block_width(n)] / 3 + rng.normal(size=n) > 1.0)
+                y = y.astype(int)
+                rule, gain = cart._best_split_scored(X, y, impurity)
+                assert (rule.feature, rule.threshold) == brute_force_best_split(X, y, impurity)
+                assert (rule, gain) == per_feature_best_split(X, y, impurity)
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_identical_columns_across_a_block_boundary_keep_the_lowest(self, impurity):
+        rng = np.random.default_rng(32)
+        for n, p in self.SHAPES:
+            width = block_width(n)
+            first = 2 * width - 1  # last column of the second block
+            for copy in (first + 1, p - 2):  # first column of the next block; a later one
+                X = tied_node(rng, n, p)
+                sep = rng.integers(0, 10, size=n).astype(float)
+                X[:, first] = X[:, copy] = sep
+                y = ((sep >= 5) ^ (rng.random(n) < 0.05)).astype(int)
+                assert first // width != copy // width
+                rule, gain = cart._best_split_scored(X, y, impurity)
+                assert rule == SplitRule(first, 4.5)
+                assert (rule.feature, rule.threshold) == brute_force_best_split(X, y, impurity)
+                assert (rule, gain) == per_feature_best_split(X, y, impurity)
+
+
 # ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------
@@ -304,6 +400,36 @@ class TestGrow:
         t1 = grow(ds, TreeHyperparams(maxdepth=4))
         t2 = grow(ds, TreeHyperparams(maxdepth=4))
         assert tree_to_dict(t1) == tree_to_dict(t2)
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_matches_per_feature_reference_node_for_node(self, impurity):
+        """Split, threshold and gain of every node are bitwise those of the
+        feature-at-a-time search run on the rows that reach the node."""
+        ds = simulate(SimConfig(n=2000, seed=3)).dataset
+        hp = TreeHyperparams(maxdepth=6, minsplit=8, impurity=impurity)
+        tree = grow(ds, hp)
+        X, _ = feature_matrix(ds)
+        y = ds.occurrence
+        seen = []
+
+        def check(nid, idx):
+            node = tree.nodes[nid]
+            seen.append(nid)
+            rule, gain = None, 0.0
+            splittable = node.depth < hp.maxdepth and idx.size >= hp.minsplit
+            if splittable and 0 < y[idx].sum() < idx.size:
+                rule, gain = per_feature_best_split(X[idx], y[idx], impurity)
+            assert node.split == rule, f"node {nid}"
+            expected_gain = gain * idx.size / ds.n if rule is not None else 0.0
+            assert node.gain == expected_gain, f"node {nid}"
+            if rule is not None:
+                left = X[idx, rule.feature] < rule.threshold
+                check(2 * nid, idx[left])
+                check(2 * nid + 1, idx[~left])
+
+        check(1, np.arange(ds.n))
+        assert sorted(seen) == sorted(tree.nodes)
+        assert len(tree.internal_ids()) > 10
 
     def test_node_counts_add_up(self):
         rng = np.random.default_rng(12)

@@ -1,11 +1,12 @@
 """End-to-end command-line flows in temporary directories."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from claimtree.cli import main
+from claimtree.cli import LOG_LEVELS, main
 from claimtree.hybrid import load, predict
 from claimtree.data import load_csv, load_schema
 from claimtree.simulate import SimConfig, simulate
@@ -429,7 +430,6 @@ class TestMalformedInputFiles:
 
 
 class TestCompareAndExport:
-    @pytest.mark.filterwarnings("ignore:gini index. constant predictions")
     def test_compare_with_baselines(self, portfolio, trained, tmp_path):
         out = tmp_path / "cmp"
         code = main([
@@ -482,6 +482,60 @@ class TestCompareAndExport:
         code = main(["export-tree", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "t.dot")])
         assert code == 2
+
+
+GINI_NOTE = "gini index: constant predictions, ordering falls back to input order"
+
+
+class TestLogLevel:
+    """The constant-mean baseline of ``compare`` logs one warning per gini call."""
+
+    @pytest.fixture(autouse=True)
+    def restore_package_logger(self):
+        logger = logging.getLogger("claimtree")
+        level, handlers = logger.level, list(logger.handlers)
+        yield logger
+        logger.setLevel(level)
+        logger.handlers[:] = handlers
+
+    def compare(self, portfolio, out, *flags):
+        return main([
+            "compare",
+            "--train", str(portfolio / "portfolio.csv"),
+            "--test", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(out),
+            "--maxdepth", "3",
+            *flags,
+        ])
+
+    def test_default_writes_warnings_as_bare_lines_once_each(
+        self, portfolio, tmp_path, capsys, restore_package_logger
+    ):
+        assert self.compare(portfolio, tmp_path / "a") == 0
+        first = capsys.readouterr().err.splitlines()
+        assert self.compare(portfolio, tmp_path / "b") == 0
+        second = capsys.readouterr().err.splitlines()
+        assert GINI_NOTE in first
+        assert first == second  # a second main call in the process adds no handler
+        assert len(restore_package_logger.handlers) == 1
+
+    def test_error_level_quiets_warnings(self, portfolio, tmp_path, capsys):
+        assert self.compare(portfolio, tmp_path / "cmp", "--log-level", "error") == 0
+        assert GINI_NOTE not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", LOG_LEVELS)
+    def test_sets_the_package_logger_level(self, trained, tmp_path, level, restore_package_logger):
+        out = tmp_path / "tree.dot"
+        code = main(["export-tree", "--model", str(trained / "model.json"), "--out", str(out),
+                     "--log-level", level])
+        assert code == 0
+        assert restore_package_logger.level == getattr(logging, level.upper())
+
+    def test_unknown_level_is_validation_error(self, trained, tmp_path):
+        code = main(["export-tree", "--model", str(trained / "model.json"),
+                     "--out", str(tmp_path / "t.dot"), "--log-level", "loud"])
+        assert code == 1
 
 
 class TestParser:

@@ -3,8 +3,6 @@
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 
 
@@ -15,7 +13,6 @@ def load_script():
     return module
 
 
-@pytest.mark.filterwarnings("ignore:gini index. constant predictions")
 def test_two_runs_print_the_same_digests(tmp_path):
     cli_digest = load_script()
     first = cli_digest.digest(tmp_path / "a", n=400)

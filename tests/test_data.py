@@ -119,9 +119,32 @@ class TestSchemaSidecar:
         with pytest.raises(DataError, match=f"malformed schema file {path}"):
             load_schema(path)
 
+    @pytest.mark.parametrize("categories", ['"ab"', '{"a": 1, "b": 2}', "3"])
+    def test_categories_must_be_a_list(self, tmp_path, categories):
+        path = write(tmp_path / "schema.json", (
+            '{"columns": [{"name": "c", "kind": "categorical", "categories": %s},'
+            ' {"name": "y", "kind": "response"}]}' % categories
+        ))
+        with pytest.raises(DataError, match=f"malformed schema file {path}: column 'c'"):
+            load_schema(path)
+
     def test_schema_requires_single_response(self):
         with pytest.raises(DataError, match="exactly one response"):
             Dataset((Column("x1", "continuous"),), np.zeros((1, 1)))
+
+
+class TestCategoricalCells:
+    COLUMNS = (Column("c", "categorical", ("a", "b")), Column("y", "response"))
+
+    def test_category_indices_accepted(self):
+        ds = Dataset(self.COLUMNS, [[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
+        assert ds.column_values("c").tolist() == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.7, 2.0, 0.5])
+    def test_non_index_cell_names_column_and_first_bad_row(self, bad):
+        values = [[0.0, 1.0], [1.0, 0.0], [bad, 1.0], [bad, 0.0]]
+        with pytest.raises(DataError, match=rf"column 'c': row 2 holds {bad!r}, not a category"):
+            Dataset(self.COLUMNS, values)
 
 
 class TestStandardize:

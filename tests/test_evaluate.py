@@ -1,5 +1,7 @@
 """Validation measures, cross-validation and the comparison table."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -38,10 +40,12 @@ class TestGiniIndex:
     def test_reversed_ordering(self):
         assert gini_index([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
-    def test_constant_predictions_warn_and_fall_back(self):
-        with pytest.warns(UserWarning, match="constant predictions"):
+    def test_constant_predictions_warn_and_fall_back(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="claimtree.evaluate"):
             value = gini_index([1, 2, 3], [5, 5, 5])
         assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert [rec.levelno for rec in caplog.records] == [logging.WARNING]
+        assert "constant predictions" in caplog.records[0].message
 
     def test_all_zero_actuals_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -317,7 +321,7 @@ class TestComparisonTable:
         ds = dataset_from_xy(x, y)
         return ds.subset(np.arange(80)), ds.subset(np.arange(80, 120))
 
-    def test_dominant_model_scores_100_everywhere(self):
+    def test_dominant_model_scores_100_everywhere(self, caplog):
         train, test = self.make_split()
 
         def good(ds):
@@ -326,8 +330,9 @@ class TestComparisonTable:
         def bad(ds):
             return np.full(ds.n, 1e6)
 
-        with pytest.warns(UserWarning, match="constant predictions"):
+        with caplog.at_level(logging.WARNING, logger="claimtree.evaluate"):
             table = comparison_table([("good", good), ("bad", bad)], train, test)
+        assert any("constant predictions" in rec.message for rec in caplog.records)
         for split in ("train", "test"):
             for m in ("r2", "ccc", "rmse", "mae", "mape", "mpe"):
                 assert table.rescaled[split][m]["good"] == 100.0
