@@ -158,6 +158,10 @@ class Tree:
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Terminal node id for every row of X."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
+            raise ValueError(
+                f"expected {len(self.feature_names)} feature values per row, got shape {X.shape}"
+            )
         out = np.empty(X.shape[0], dtype=np.int64)
         stack = [(1, np.arange(X.shape[0]))]
         while stack:
@@ -192,12 +196,34 @@ def best_split(X: np.ndarray, y: np.ndarray, impurity: str = "gini") -> SplitRul
 
 
 def _best_split_scored(X, y, impurity):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    n = y.shape[0]
-    if n < 2:
+    # One node on its own: sort its columns, then score as grow does.
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    return _score_sorted(XT, _presort(XT), np.asarray(y), impurity)
+
+
+def _presort(XT: np.ndarray) -> np.ndarray:
+    """Row ids of each row of the feature-major XT in ascending value order.
+
+    A stable sort, so tied values keep row-id order. Filled one feature at
+    a time, so no full-width index temporary exists beside the result.
+    """
+    order = np.empty(XT.shape, dtype=np.intp)
+    for j in range(XT.shape[0]):
+        order[j] = np.argsort(XT[j], kind="stable")
+    return order
+
+
+def _score_sorted(XT, order, y, impurity):
+    """Best split of the node whose rows, sorted by feature j, are order[j].
+
+    XT is the feature-major matrix and y the labels, both indexed by the row
+    ids in ``order``. Returns ``(SplitRule, impurity decrease)``, or
+    ``(None, 0.0)`` when no candidate strictly reduces the node impurity.
+    """
+    p, n = order.shape
+    if n < 2 or p == 0:
         return None, 0.0
-    pos_total = int(y.sum())
+    pos_total = int(y[order[0]].sum())
     parent = float(_impurity_vec(impurity, np.array([pos_total / n]))[0])
     best_score = parent
     best = None
@@ -210,11 +236,11 @@ def _best_split_scored(X, y, impurity):
     n_left = np.arange(1, n)
     n_right = n - n_left
     width = max(1, _SPLIT_BLOCK_CELLS // n)
-    for j0 in range(0, X.shape[1], width):
-        xt = X[:, j0:j0 + width].T
-        order = np.argsort(xt, axis=1, kind="stable")
-        xs = np.take_along_axis(xt, order, axis=1)
-        pos_left = np.cumsum(y[order], axis=1)[:, :-1]
+    for j0 in range(0, p, width):
+        rows = order[j0:j0 + width]
+        # flat positions j * N + row of the block's sorted values in XT
+        xs = XT.take(rows + (np.arange(j0, j0 + rows.shape[0]) * XT.shape[1])[:, None])
+        pos_left = np.cumsum(y[rows], axis=1)[:, :-1]
         pos_right = pos_total - pos_left
         score = (
             n_left * _impurity_vec(impurity, pos_left / n_left)
@@ -235,34 +261,61 @@ def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
 
     Stops at maxdepth, below minsplit rows, on pure nodes, or when no split
     reduces impurity. ``cp`` is not applied here; see :func:`prune`.
+
+    Each feature is sorted once per tree, at the root. A node holds its row
+    ids sorted by every feature, and a split filters them into its children
+    by one mask, which keeps each child's rows in sorted order with ties in
+    row-id order: the order a stable sort of the child's own rows gives.
     """
     if hyperparams is None:
         hyperparams = TreeHyperparams()
     if ds.n == 0:
         raise ValueError("cannot grow a tree on an empty dataset")
     X, names = feature_matrix(ds)
+    XT = np.ascontiguousarray(X.T)
+    del X
+    p = XT.shape[0]
     y = ds.occurrence
     root_n = ds.n
     nodes: dict[int, TreeNode] = {}
 
-    def build(nid: int, depth: int, idx: np.ndarray) -> None:
-        yk = y[idx]
-        node = TreeNode(id=nid, depth=depth, n_node=idx.size, n_positive=int(yk.sum()))
-        nodes[nid] = node
-        if depth >= hyperparams.maxdepth or idx.size < hyperparams.minsplit:
-            return
-        if node.n_positive in (0, node.n_node):
-            return
-        rule, gain = _best_split_scored(X[idx], yk, hyperparams.impurity)
-        if rule is None:
-            return
-        node.split = rule
-        node.gain = gain * idx.size / root_n
-        left = X[idx, rule.feature] < rule.threshold
-        build(2 * nid, depth + 1, idx[left])
-        build(2 * nid + 1, depth + 1, idx[~left])
+    def searchable(depth: int, n: int, n_positive: int) -> bool:
+        return (
+            depth < hyperparams.maxdepth and n >= hyperparams.minsplit and 0 < n_positive < n
+        )
 
-    build(1, 0, np.arange(root_n))
+    # Depth-first in pre-order. A node that cannot be split carries no
+    # order, and a parent's order is dropped when its first child is popped:
+    # the pending right siblings on the stack hold disjoint rows, so the
+    # live orders total at most one (p, N) array.
+    pos_root = int(y.sum())
+    stack = [(1, 0, root_n, pos_root, _presort(XT) if searchable(0, root_n, pos_root) else None)]
+    while stack:
+        nid, depth, n, n_positive, order = stack.pop()
+        node = TreeNode(id=nid, depth=depth, n_node=n, n_positive=n_positive)
+        nodes[nid] = node
+        if order is None:
+            continue
+        rule, gain = _score_sorted(XT, order, y, hyperparams.impurity)
+        if rule is None:
+            continue
+        node.split = rule
+        node.gain = gain * n / root_n
+        f = rule.feature
+        left_rows = order[f].compress(XT[f].take(order[f]) < rule.threshold)
+        n_left, pos_left = left_rows.size, int(y[left_rows].sum())
+        n_right, pos_right = n - n_left, n_positive - pos_left
+        left_ok = searchable(depth + 1, n_left, pos_left)
+        right_ok = searchable(depth + 1, n_right, pos_right)
+        left = right = None
+        if left_ok or right_ok:
+            go_left = (XT[f].take(order) < rule.threshold).ravel()
+            if left_ok:
+                left = order.compress(go_left).reshape(p, n_left)
+            if right_ok:
+                right = order.compress(~go_left).reshape(p, n_right)
+        stack.append((2 * nid + 1, depth + 1, n_right, pos_right, right))
+        stack.append((2 * nid, depth + 1, n_left, pos_left, left))
     return Tree(nodes=nodes, feature_names=names, hyperparams=hyperparams)
 
 

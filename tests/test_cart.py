@@ -6,12 +6,14 @@ subtree), against the feature-at-a-time split search and against the
 round-by-round weakest-link loop, which must agree exactly.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from claimtree import cart
+from claimtree import cart, hybrid
 from claimtree.cart import (
     SplitRule,
     Tree,
@@ -444,6 +446,113 @@ class TestGrow:
             )
 
 
+def tree_digest(tree):
+    return hashlib.sha256(json.dumps(tree_to_dict(tree), sort_keys=True).encode()).hexdigest()
+
+
+class TestGrowEdgeCases:
+    """Degenerate inputs, pinned to the trees that a per-node sort grows."""
+
+    def response_only(self):
+        return Dataset((Column("y", "response"),), np.array([[0.0], [2.0], [0.0], [5.0], [1.0]]))
+
+    def test_no_feature_columns_give_a_root_only_tree(self):
+        tree = grow(self.response_only(), TreeHyperparams(minsplit=2))
+        assert tree_to_dict(tree) == {
+            "feature_names": [],
+            "hyperparams": {"cp": 0.0, "maxdepth": 8, "minsplit": 2, "impurity": "gini"},
+            "root": {"id": 1, "n": 5, "n_positive": 3, "beta_f": 1},
+        }
+
+    def test_single_row(self):
+        tree = grow(make_dataset([[1.0]], [3.0]), TreeHyperparams(minsplit=2))
+        assert tree_to_dict(tree)["root"] == {"id": 1, "n": 1, "n_positive": 1, "beta_f": 1}
+
+    def test_all_constant_features(self):
+        X = np.tile([1.0, 2.0], (6, 1))
+        tree = grow(make_dataset(X, [3, 3, 3, 0, 0, 0]), TreeHyperparams(minsplit=2))
+        assert tree_to_dict(tree)["root"] == {"id": 1, "n": 6, "n_positive": 3, "beta_f": 0}
+
+    def test_minsplit_two_splits_down_to_tied_rows(self):
+        X = np.array([1, 2, 2, 3, 3, 3, 4, 4, 5, 6], dtype=float)[:, None]
+        y = [0, 1, 0, 1, 1, 0, 0, 1, 1, 0]
+        tree = grow(make_dataset(X, y), TreeHyperparams(maxdepth=30, minsplit=2))
+        got = [
+            (nd.id, nd.n_node, nd.n_positive, nd.split and nd.split.threshold, nd.gain)
+            for nd in tree.nodes.values()
+        ]
+        assert got == [
+            (1, 10, 5, 1.5, 0.055555555555555525),
+            (2, 1, 0, None, 0.0),
+            (3, 9, 5, 5.5, 0.06944444444444439),
+            (6, 8, 5, 4.5, 0.03214285714285716),
+            (12, 7, 4, 2.5, 0.0028571428571428524),
+            (24, 2, 1, None, 0.0),
+            (25, 5, 3, 3.5, 0.006666666666666654),
+            (50, 3, 2, None, 0.0),
+            (51, 2, 1, None, 0.0),
+            (13, 1, 1, None, 0.0),
+            (7, 1, 0, None, 0.0),
+        ]
+
+    def test_minsplit_two_deep_tree_is_pinned(self):
+        ds = simulate(SimConfig(n=400, seed=5)).dataset
+        tree = grow(ds, TreeHyperparams(maxdepth=30, minsplit=2, impurity="entropy"))
+        assert (len(tree.nodes), tree.depth()) == (113, 12)
+        assert tree_digest(tree) == (
+            "4c419f034d0d5a33ae711306e14d9c2b20101aeb0ab69950eb918f05e6c2519b"
+        )
+
+    def test_hybrid_fit_on_a_response_only_schema(self):
+        ds = self.response_only()
+        model = hybrid.fit(ds, hybrid.HybridHyperparams(severity_learner="ols"))
+        assert model.tree.terminal_ids() == [1]
+        assert model.encoded_features == []
+        assert model.node_models[1].kind == "zero"
+        assert model.zero_fractions == {1: 0.4}
+        terminal_of, raw, clipped = hybrid.predict_batch(model, ds)
+        np.testing.assert_array_equal(terminal_of, np.ones(5, dtype=np.int64))
+        np.testing.assert_array_equal(clipped, np.zeros(5))
+
+
+def truncate(tree, depth):
+    """The nodes of ``tree`` down to ``depth``, those at ``depth`` made terminal."""
+    nodes = {}
+    for nid, nd in tree.nodes.items():
+        if nd.depth < depth:
+            nodes[nid] = replace(nd)
+        elif nd.depth == depth:
+            nodes[nid] = replace(nd, split=None, gain=0.0)
+    return nodes
+
+
+class TestGrowInvariances:
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_truncated_deep_tree_equals_shallow_tree(self, impurity):
+        """Split choice never depends on maxdepth: the depth-D tree cut at d
+        is the depth-d tree, node for node and in the same order."""
+        deepest = 10
+        for seed in (1, 2, 3):
+            ds = simulate(SimConfig(n=1500, seed=seed)).dataset
+            hp = TreeHyperparams(maxdepth=deepest, minsplit=8, impurity=impurity)
+            deep = grow(ds, hp)
+            assert deep.depth() == deepest
+            for depth in range(1, deepest):
+                shallow = grow(ds, replace(hp, maxdepth=depth))
+                cut = truncate(deep, depth)
+                assert list(cut) == list(shallow.nodes), f"seed {seed}, depth {depth}"
+                assert cut == shallow.nodes, f"seed {seed}, depth {depth}"
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_row_order_does_not_change_the_tree(self, impurity):
+        for seed in (1, 2, 3):
+            ds = simulate(SimConfig(n=1200, seed=seed)).dataset
+            perm = np.random.default_rng(seed).permutation(ds.n)
+            shuffled = Dataset(ds.columns, ds.values[perm])
+            hp = TreeHyperparams(maxdepth=10, minsplit=4, impurity=impurity)
+            assert tree_digest(grow(shuffled, hp)) == tree_digest(grow(ds, hp)), f"seed {seed}"
+
+
 # ---------------------------------------------------------------------------
 # pruning
 # ---------------------------------------------------------------------------
@@ -577,6 +686,19 @@ class TestClassify:
         tree = grow(make_dataset(np.arange(4.0)[:, None], [0, 0, 1, 1]))
         with pytest.raises(ValueError, match="feature"):
             tree.classify(np.array([1.0, 2.0]))
+
+    def test_batch_wrong_width_errors(self):
+        ds = simulate(SimConfig(n=1000, seed=7)).dataset
+        tree = grow(ds, TreeHyperparams(maxdepth=3))
+        X, names = feature_matrix(ds)
+        assert tree.classify_batch(X).shape == (ds.n,)
+        expected = f"expected {len(names)} feature values"
+        with pytest.raises(ValueError, match=expected):
+            tree.classify_batch(np.column_stack([X, np.zeros((ds.n, 5))]))  # extra columns
+        with pytest.raises(ValueError, match=expected):
+            tree.classify_batch(X[:, :3])
+        with pytest.raises(ValueError, match=expected):
+            tree.classify_batch(X[0])
 
 
 class TestVariableImportance:
