@@ -7,7 +7,7 @@ line of each ``manifest.json`` is left out of its digest, so two runs of
 the same code print the same lines. Compare the output of two checkouts
 to show that a change keeps every output byte-identical.
 
-Usage: python scripts/cli_digest.py OUT_DIR [--n ROWS]
+Usage: python scripts/cli_digest.py OUT_DIR
 
 The ``src`` directory next to this script is imported first, so each
 checkout digests its own code. OUT_DIR must be empty or absent.
@@ -85,6 +85,5 @@ def digest(out_dir: Path, n: int = 2000) -> list[str]:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--n", type=int, default=2000, help="rows of the training portfolio")
     args = parser.parse_args()
-    print("\n".join(digest(args.out_dir, args.n)))
+    print("\n".join(digest(args.out_dir)))

@@ -250,7 +250,13 @@ def _score_sorted(XT, order, y, impurity):
         f, k = divmod(int(np.argmin(score)), n - 1)
         if score[f, k] < best_score:
             best_score = float(score[f, k])
-            best = SplitRule(j0 + f, float((xs[f, k] + xs[f, k + 1]) / 2.0))
+            # The threshold t must satisfy a < t <= b so that rows go both
+            # ways: a/2 + b/2 cannot overflow and, for normal floats, has
+            # the bits of (a + b)/2; it rounds down to a when a and b are
+            # adjacent floats, and then b is taken.
+            a, b = xs[f, k], xs[f, k + 1]
+            mid = a / 2.0 + b / 2.0
+            best = SplitRule(j0 + f, float(mid if mid > a else b))
     if best is None:
         return None, 0.0
     return best, parent - best_score

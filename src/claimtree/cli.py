@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -17,10 +16,8 @@ from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .data import DataError, Dataset, load_csv, load_schema, save_csv, save_schema, write_csv
+from .data import Column, DataError, Dataset, load_csv, load_schema, save_csv, save_schema, write_csv
 from .elastic_net import LAMBDA_MIN
 from .evaluate import (
     comparison_svg,
@@ -174,14 +171,19 @@ def _add_hyperparam_flags(sub):
     sub.add_argument("--severity-learner", dest="severity_learner", choices=["ols", "elastic_net"])
 
 
+def _read_json_input(path: str, what: str):
+    """The JSON value in a config or grid file; an unreadable file is a validation error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliValidationError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _load_config_file(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliValidationError(f"cannot read config file {args.config}: {exc}") from exc
+    cfg = _read_json_input(args.config, "config")
     if not isinstance(cfg, dict):
         raise CliValidationError("config file must hold a JSON object")
     return cfg
@@ -314,11 +316,7 @@ def cmd_tune(args) -> int:
     base = _from_flags(HybridHyperparams, args, cfg)
     seed = _resolve(args, cfg, "seed", 0)
     folds = _resolve(args, cfg, "folds", 10)
-    try:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliValidationError(f"cannot read grid file {args.grid}: {exc}") from exc
+    grid = _read_json_input(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
         raise CliValidationError("grid file must map hyperparameter names to value lists")
     known = {f.name for f in fields(HybridHyperparams)}
@@ -374,7 +372,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    predictions = _read_prediction_column(args.predictions)
+    predictions = load_csv(args.predictions, (Column("clipped", "response"),)).response
     ds = _load_dataset(args.actuals, args.schema)
     if predictions.shape[0] != ds.n:
         raise DataError(
@@ -385,23 +383,6 @@ def cmd_evaluate(args) -> int:
     _write_json(out, report.as_dict())
     print(f"wrote {out} (R^2 {report.r2:.4f}, RMSE {report.rmse:.6g})")
     return 0
-
-
-def _read_prediction_column(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty predictions file") from None
-        col = header.index("clipped") if "clipped" in header else len(header) - 1
-        values = []
-        for r, record in enumerate(reader, start=1):
-            try:
-                values.append(float(record[col]))
-            except (IndexError, ValueError):
-                raise DataError(f"{path}: row {r}: bad prediction value") from None
-    return np.asarray(values)
 
 
 def cmd_compare(args) -> int:

@@ -188,23 +188,27 @@ class Dataset:
         return Dataset(self.columns, self.values[row_idx])
 
 
+def column_from_dict(entry: dict) -> Column:
+    """One stored schema entry, ``{name, kind, categories?}``, as a Column.
+
+    The one parser for schema entries, in the sidecar and in model files.
+    Raises KeyError or TypeError for an entry of the wrong shape and
+    :class:`DataError` for a bad column; callers add which file it was.
+    """
+    name, kind, cats = entry["name"], entry["kind"], entry.get("categories")
+    if cats is not None and not isinstance(cats, list):
+        raise DataError(f"column {name!r}: categories must be a list of labels")
+    return Column(name, kind, tuple(cats) if cats else None)
+
+
 def load_schema(path) -> tuple[Column, ...]:
     """Read the JSON schema sidecar: {"columns": [{name, kind, categories?}]}."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-            cols = []
-            for entry in raw["columns"]:
-                cats = entry.get("categories")
-                if cats is not None and not isinstance(cats, list):
-                    raise DataError(
-                        f"malformed schema file {path}: column {entry['name']!r}: "
-                        "categories must be a list of labels"
-                    )
-                cols.append(Column(entry["name"], entry["kind"], tuple(cats) if cats else None))
+            cols = [column_from_dict(entry) for entry in json.load(fh)["columns"]]
         except KeyError as exc:
             raise DataError(f"malformed schema file {path}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (DataError, TypeError, ValueError) as exc:
             raise DataError(f"malformed schema file {path}: {exc}") from None
     return validate_schema(cols)
 
@@ -225,8 +229,8 @@ def load_csv(path, schema) -> Dataset:
     """Parse a header-row CSV into a Dataset according to ``schema``.
 
     Rejects missing columns, missing values, unparseable or non-finite
-    numbers and unknown category labels; error messages name the data row
-    (1-based) and column.
+    numbers, unknown category labels and negative responses; error messages
+    name the data row (1-based) and column.
     """
     schema = validate_schema(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -254,6 +258,13 @@ def load_csv(path, schema) -> Dataset:
         r, j = np.argwhere(~finite)[0]
         raise DataError(
             f"{path}: row {r + 1}, column {schema[j].name!r}: non-finite value {values[r, j]}"
+        )
+    j = next(j for j, col in enumerate(schema) if col.kind == "response")
+    negative = values[:, j] < 0
+    if negative.any():
+        r = int(np.argmax(negative))
+        raise DataError(
+            f"{path}: row {r + 1}, column {schema[j].name!r}: negative response {values[r, j]}"
         )
     return Dataset(schema, values)
 

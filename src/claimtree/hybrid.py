@@ -20,7 +20,10 @@ from . import __version__
 from .cart import (
     Tree, TreeHyperparams, cp_to_alpha, grow, prune, require_int, to_dot, tree_from_dict, tree_to_dict,
 )
-from .data import Column, Dataset, Standardization, feature_matrix, nonconstant_columns, validate_schema
+from .data import (
+    Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, nonconstant_columns,
+    validate_schema,
+)
 from .elastic_net import (
     LAMBDA_MIN,
     LinearFit,
@@ -219,23 +222,22 @@ def predict_batch(model: HybridModel, ds: Dataset):
     terminal_of = model.tree.classify_batch(X)
     raw = np.zeros(ds.n)
     for tid in model.tree.terminal_ids():
+        nm = model.node_models[tid]
+        if nm.kind == "zero":
+            continue
         rows = np.nonzero(terminal_of == tid)[0]
-        if rows.size == 0:
-            continue
-        node = model.tree.nodes[tid]
-        if node.beta_f == 0:
-            continue
-        raw[rows] = model.node_models[tid].predict(X[rows])
+        if rows.size:
+            raw[rows] = nm.predict(X[rows])
     return terminal_of, raw, np.maximum(raw, 0.0)
 
 
 def predict(model: HybridModel, x: np.ndarray) -> float:
     """Predict one encoded feature row; negative values clip to 0."""
     x = np.asarray(x, dtype=float)
-    tid, beta_f = model.tree.classify(x)
-    if beta_f == 0:
+    nm = model.node_models[model.tree.classify(x)[0]]
+    if nm.kind == "zero":
         return 0.0
-    value = float(model.node_models[tid].predict(x[None, :])[0])
+    value = float(nm.predict(x[None, :])[0])
     return max(value, 0.0)
 
 
@@ -361,12 +363,7 @@ def load(path) -> HybridModel:
                 f"unsupported model format version {version} (supported: {MODEL_FORMAT_VERSION})"
             )
         hp = HybridHyperparams(**payload["hyperparams"])
-        schema = validate_schema(
-            [
-                Column(c["name"], c["kind"], tuple(c["categories"]) if c.get("categories") else None)
-                for c in payload["schema"]
-            ]
-        )
+        schema = validate_schema([column_from_dict(c) for c in payload["schema"]])
         tree = tree_from_dict(payload["tree"])
         node_models = {
             int(tid): _node_model_from_dict(d) for tid, d in payload["node_models"].items()
@@ -390,5 +387,5 @@ def load(path) -> HybridModel:
         )
     except ModelLoadError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DataError, KeyError, TypeError, ValueError) as exc:
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc

@@ -495,6 +495,19 @@ class TestGrowEdgeCases:
             (7, 1, 0, None, 0.0),
         ]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [
+        [1.0, float(np.nextafter(1.0, 2.0))],  # the midpoint rounds down to 1.0
+        [1.5e308, 1.7e308],  # their sum overflows
+    ])
+    def test_threshold_lies_above_the_lower_value(self, x):
+        tree = grow(make_dataset(np.array(x)[:, None], [0, 1]), TreeHyperparams(maxdepth=4, minsplit=2))
+        root = tree.nodes[1]
+        assert [nd.id for nd in tree.nodes.values()] == [1, 2, 3]
+        assert x[0] < root.split.threshold <= x[1]
+        assert (tree.nodes[2].n_node, tree.nodes[3].n_node) == (1, 1)
+        assert json.loads(json.dumps(tree_to_dict(tree), allow_nan=False)) == tree_to_dict(tree)
+
     def test_minsplit_two_deep_tree_is_pinned(self):
         ds = simulate(SimConfig(n=400, seed=5)).dataset
         tree = grow(ds, TreeHyperparams(maxdepth=30, minsplit=2, impurity="entropy"))

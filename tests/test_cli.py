@@ -289,6 +289,43 @@ class TestEvaluate:
         assert code == 2
 
 
+    @pytest.mark.parametrize("cell, problem", [
+        ("nan", "non-finite value nan"),
+        ("abc", "cannot parse 'abc'"),
+        ("-1.5", "negative response -1.5"),
+        ("", "missing value"),
+    ])
+    def test_bad_prediction_cell_is_named(self, portfolio, tmp_path, capsys, cell, problem):
+        lines = ["row,terminal_id,raw,clipped"] + [f"{i},1,0.5,0.5" for i in range(400)]
+        lines[3] = f"2,1,0.5,{cell}"
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        code = main([
+            "evaluate", "--predictions", str(pred),
+            "--actuals", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{pred}: row 3, column 'clipped': {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predictions_without_clipped_column_rejected(self, portfolio, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("row,terminal_id,raw\n0,1,1.0\n", encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        code = main([
+            "evaluate", "--predictions", str(pred),
+            "--actuals", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{pred}: missing column 'clipped'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTune:
     def test_single_cell_grid(self, portfolio, tmp_path):
         grid = tmp_path / "grid.json"
@@ -427,6 +464,21 @@ class TestMalformedInputFiles:
         ])
         assert code == 2
         assert "malformed model file" in capsys.readouterr().err
+
+    def test_model_with_string_categories_is_data_error(self, portfolio, trained, tmp_path, capsys):
+        payload = json.loads((trained / "model.json").read_text())
+        entry = payload["schema"][0]
+        entry["categories"] = "ab"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(model),
+            "--data", str(portfolio / "portfolio.csv"), "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"malformed model file {model}: column {entry['name']!r}: categories must be" in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestCompareAndExport:

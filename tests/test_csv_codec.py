@@ -66,6 +66,12 @@ def reference_load_csv(path, schema):
         raise DataError(
             f"{path}: row {r + 1}, column {schema[j].name!r}: non-finite value {values[r, j]}"
         )
+    for j, col in enumerate(schema):
+        for r in range(values.shape[0]):
+            if col.kind == "response" and values[r, j] < 0:
+                raise DataError(
+                    f"{path}: row {r + 1}, column {col.name!r}: negative response {values[r, j]}"
+                )
     return Dataset(schema, values)
 
 

@@ -63,9 +63,13 @@ class TestLoadCsv:
             load_csv(f, schema)
 
     def test_negative_response_rejected(self, tmp_path):
-        f = write(tmp_path / "d.csv", "x1,y\n1.0,-2\n")
-        with pytest.raises(DataError, match="negative"):
+        f = write(tmp_path / "d.csv", "x1,y\n1.0,2.0\n2.0,-3.0\n")
+        with pytest.raises(DataError, match=rf"^{f}: row 2, column 'y': negative response -3.0$"):
             load_csv(f, SIMPLE_SCHEMA)
+
+    def test_negative_response_rejected_in_memory(self):
+        with pytest.raises(DataError, match="response column contains negative values"):
+            Dataset(SIMPLE_SCHEMA, np.array([[1.0, 2.0], [2.0, -3.0]]))
 
     def test_portfolio_style_schema_has_p8(self, tmp_path):
         """Two continuous drivers plus six binary indicators give p=8."""

@@ -215,9 +215,17 @@ class TestPredict:
         assert clipped[0] == 0.0
 
     def test_beta_f_zero_gates_prediction(self):
-        model = manual_linear_model()
-        model.tree.nodes[1].n_positive = 10  # now majority no-claim
-        assert predict(model, np.array([4.0, 10.0, 0.0])) == 0.0
+        # fit applies the gate once: a majority no-claim terminal gets the
+        # zero model even where the zero-share rule (threshold 1) never fires
+        x = np.linspace(0.0, 10.0, 100)
+        y = np.where(np.arange(100) % 5 < 3, 0.0, 1000.0 + 50.0 * x)
+        ds = Dataset((Column("x", "continuous"), Column("y", "response")), np.column_stack([x, y]))
+        hp = HybridHyperparams(cp=1.0, zero_threshold=1.0, min_node_for_linear=2, severity_learner="ols")
+        model = fit(ds, hp)
+        assert model.tree.terminal_ids() == [1] and model.tree.nodes[1].beta_f == 0
+        assert model.node_models[1].kind == "zero"
+        assert predict(model, np.array([9.0])) == 0.0
+        assert not predict_batch(model, ds)[1].any()
 
 
 class TestPredictBatch:
@@ -327,6 +335,20 @@ class TestSerialization:
             payload["node_models"]["1"] = {"kind": "zero"}
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelLoadError, match="cover exactly the tree's terminals"):
+            load(path)
+
+    @pytest.mark.parametrize("edit, problem", [
+        ({"categories": "ab"}, "categories must be a list of labels"),
+        ({"kind": "ordinal"}, "unknown kind 'ordinal'"),
+    ])
+    def test_malformed_schema_entry_rejected(self, tmp_path, edit, problem):
+        model, _ = self.fitted_elastic()
+        path = tmp_path / "model.json"
+        save(model, path)
+        payload = json.loads(path.read_text())
+        payload["schema"][0].update(edit)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelLoadError, match=f"malformed model file .*: column '.*': {problem}"):
             load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
