@@ -196,7 +196,7 @@ def column_from_dict(entry: dict) -> Column:
     :class:`DataError` for a bad column; callers add which file it was.
     """
     name, kind, cats = entry["name"], entry["kind"], entry.get("categories")
-    if cats is not None and not isinstance(cats, list):
+    if cats is not None and not (isinstance(cats, list) and all(isinstance(c, str) for c in cats)):
         raise DataError(f"column {name!r}: categories must be a list of labels")
     return Column(name, kind, tuple(cats) if cats else None)
 
@@ -205,12 +205,11 @@ def load_schema(path) -> tuple[Column, ...]:
     """Read the JSON schema sidecar: {"columns": [{name, kind, categories?}]}."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cols = [column_from_dict(entry) for entry in json.load(fh)["columns"]]
+            return validate_schema([column_from_dict(entry) for entry in json.load(fh)["columns"]])
         except KeyError as exc:
             raise DataError(f"malformed schema file {path}: missing key {exc}") from None
         except (DataError, TypeError, ValueError) as exc:
             raise DataError(f"malformed schema file {path}: {exc}") from None
-    return validate_schema(cols)
 
 
 def save_schema(columns, path) -> None:

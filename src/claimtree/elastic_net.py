@@ -12,6 +12,14 @@ so ``lam`` lives on the mean-squared-error scale and is comparable across
 node sizes. The textbook ridge closed form (X'X + lam I)^-1 X'y minimizes
 the unnormalized ``||y - Xb||^2 + lam ||b||^2`` instead; the two scales
 are related by ``ridge lam = n * elastic-net lam at alpha = 0``.
+
+Coordinate descent stops by one of two rules. Along the cross-validated
+``lambda.min`` path each fold stops by glmnet's relative rule (Friedman,
+Hastie & Tibshirani, JSS 2010, ``thresh``): once a sweep moves no
+coefficient by more than ``sqrt(PATH_THRESH * ||y_f - mean(y_f)||^2)``,
+worked out from that fold's training response, so the bound follows the
+response's unit. A single fit, the final full-data fit of
+:func:`fit_elastic_net` included, keeps the absolute bound ``CD_TOL``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,12 @@ from .data import Standardization, nonconstant_columns, standardize_matrix
 
 LAMBDA_MIN = "lambda.min"
 
-CD_TOL = 1e-7  # coordinate descent stops once a sweep moves no coefficient by this much
+# Coordinate descent stops once a sweep moves no coefficient by CD_TOL (any
+# single fit, the final fit of fit_elastic_net included) or, for fold f of the
+# lambda.min path, by sqrt(PATH_THRESH * ||y_f - mean(y_f)||^2): glmnet's
+# relative thresh for columns of unit sum of squares, free of y's scale.
+CD_TOL = 1e-7
+PATH_THRESH = 1e-7
 CD_MAX_ITER = 10_000  # ... or after this many sweeps, unconverged
 N_LAMBDAS = 100  # lambda.min path length, from lambda_max ...
 LAMBDA_RATIO = 1e-4  # ... down to lambda_max * LAMBDA_RATIO
@@ -144,19 +157,21 @@ def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
     ``q = c - G b``, which equals X_j'r, so coordinate j moves to
     soft_threshold(q_j + b_j, 2 n lam alpha) / (1 + n lam (1 - alpha)), and
     a move updates q with column j of G. Each step is vectorized over the
-    problems still running: a problem stops once a sweep moves none of its
-    coefficients by ``tol`` and drops out of later sweeps. Once three or
-    fewer problems are left (always, for k <= 3), each runs the same steps
-    on Python floats: bit-identical, and cheaper than numpy calls on so few
-    values. A column that is all zeros in G and c stays exactly 0. ``beta``
-    (k, p) is the warm start and is overwritten with the solutions. Returns
-    the sweep count and the convergence flag of each problem.
+    problems still running: problem f stops once a sweep moves none of its
+    coefficients by ``tol`` (a scalar, or ``tol[f]``) or moves none at all,
+    and drops out of later sweeps. Once three or fewer problems are left
+    (always, for k <= 3), each runs the same steps on Python floats:
+    bit-identical, and cheaper than numpy calls on so few values. A column
+    that is all zeros in G and c stays exactly 0. ``beta`` (k, p) is the
+    warm start and is overwritten with the solutions. Returns the sweep
+    count and the convergence flag of each problem.
     """
     k, p = beta.shape
     n = np.asarray(n, dtype=float)
     sweeps = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     run = np.arange(k)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     # Coordinate-major layout: row j of b, q and gcol[j] holds every running problem.
     half = n * lam * alpha  # the soft threshold, half of 2 n lam alpha
     low = -half
@@ -187,13 +202,14 @@ def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
                     q += gcol[j] * step
                     b[j] = new
         sweeps[run] = sweep
-        done = np.abs(b - start).max(axis=0, initial=0.0) < tol
+        moved = np.abs(b - start).max(axis=0, initial=0.0)
+        done = (moved < tol) | (moved == 0.0)  # moving nothing is exact, even at tol 0
         if done.any():
             beta[run[done]] = b[:, done].T
             converged[run[done]] = True
             live = ~done
             run, b, q, gcol = run[live], b[:, live], q[:, live], gcol[:, :, live]
-            half, low, denom = half[live], low[live], denom[live]
+            half, low, denom, tol = half[live], low[live], denom[live], tol[live]
             if not run.size:
                 break
     beta[run] = b.T
@@ -309,10 +325,11 @@ def fit_elastic_net(
     """Elastic net fit by coordinate descent.
 
     Standardizes X internally (mean 0, sum of squares 1), centers y, runs
-    cyclic coordinate descent from zero and destandardizes the solution.
-    When ``penalty.lam`` is "lambda.min" the penalty size is chosen by
-    :func:`lambda_path_cv` first. A fit that exhausts ``max_iter`` is
-    returned with ``converged=False`` and a warning.
+    cyclic coordinate descent from zero to the absolute bound ``CD_TOL``
+    and destandardizes the solution. When ``penalty.lam`` is "lambda.min"
+    the penalty size is chosen by :func:`lambda_path_cv` first, whose folds
+    stop by the relative rule instead (see the module docstring). A fit that
+    exhausts ``max_iter`` is returned with ``converged=False`` and a warning.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -359,7 +376,11 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
     value zeroing all coefficients on the full data) down to lambda_max *
     LAMBDA_RATIO. Folds are contiguous blocks of a seeded shuffle. One
     kernel call per lambda solves every fold at once, warm-started from the
-    previous lambda; a fold still unconverged after CD_MAX_ITER sweeps
+    previous lambda. Fold f stops once a sweep moves no coefficient by more
+    than ``sqrt(PATH_THRESH * ||y_f - mean(y_f)||^2)`` over its training
+    response y_f, so at alpha = 1 scaling y scales the grid and leaves the
+    chosen index alone; a fold whose training response is constant stops
+    after its first sweep at 0. A fold still unconverged after CD_MAX_ITER sweeps
     raises a RuntimeWarning. Ties prefer the larger (more shrunken) lambda.
     """
     X = np.asarray(X, dtype=float)
@@ -386,6 +407,7 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
     G = np.zeros((k, p, p))
     c = np.zeros((k, p))
     n_train = np.zeros(k)
+    tol = np.zeros(k)
     tests = []
     for fi, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
@@ -393,7 +415,9 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
         sub = nonconstant_columns(Xtr)
         Xtr_s, st = standardize_matrix(Xtr[:, sub])
         G[fi][np.ix_(sub, sub)] = Xtr_s.T @ Xtr_s
-        c[fi, sub] = Xtr_s.T @ (ytr - ytr.mean())
+        ytr_c = ytr - ytr.mean()
+        c[fi, sub] = Xtr_s.T @ ytr_c
+        tol[fi] = np.sqrt(PATH_THRESH * (ytr_c @ ytr_c))
         n_train[fi] = train_idx.size
         Xte_s = np.zeros((test_idx.size, p))
         Xte_s[:, sub] = st.apply(X[test_idx][:, sub])
@@ -402,7 +426,7 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
     stalled = np.zeros((grid.size, k), dtype=bool)
     beta = np.zeros((k, p))
     for li, lam in enumerate(grid):
-        _, converged = _cd_kernel(G, c, n_train, alpha, lam, beta, CD_TOL, CD_MAX_ITER)
+        _, converged = _cd_kernel(G, c, n_train, alpha, lam, beta, tol, CD_MAX_ITER)
         stalled[li] = ~converged
         for fi, (Xte_s, y_te, y_mean) in enumerate(tests):
             errors[fi, li] = ((y_te - (y_mean + Xte_s @ beta[fi])) ** 2).mean()

@@ -452,6 +452,32 @@ class TestMalformedInputFiles:
         assert code == 2
         assert f"malformed schema file {schema}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, problem", [
+        ("two responses", "schema must have exactly one response column, found 2"),
+        ("duplicate name", "duplicate column names in schema"),
+        ("two counts", "schema may have at most one count column"),
+        ("integer categories", "column 'x1': categories must be a list of labels"),
+    ])
+    def test_schema_level_errors_name_the_file(self, portfolio, tmp_path, capsys, edit, problem):
+        payload = json.loads((portfolio / "schema.json").read_text())
+        columns = payload["columns"]
+        if edit == "two responses":
+            columns[0]["kind"] = "response"
+        elif edit == "duplicate name":
+            columns.append(dict(columns[0]))
+        elif edit == "two counts":
+            columns[0]["kind"] = columns[1]["kind"] = "count"
+        else:
+            columns[0].update(name="x1", kind="categorical", categories=[1, 2])
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "train", "--data", str(portfolio / "portfolio.csv"), "--schema", str(schema),
+            "--out", str(tmp_path / "m"),
+        ])
+        assert code == 2
+        assert f"malformed schema file {schema}: {problem}" in capsys.readouterr().err
+
     def test_model_missing_a_node_model_is_data_error(self, portfolio, trained, tmp_path, capsys):
         payload = json.loads((trained / "model.json").read_text())
         nonzero = [s["node_id"] for s in payload["terminal_summaries"] if s["beta_f"] == 1]

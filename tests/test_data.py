@@ -123,7 +123,9 @@ class TestSchemaSidecar:
         with pytest.raises(DataError, match=f"malformed schema file {path}"):
             load_schema(path)
 
-    @pytest.mark.parametrize("categories", ['"ab"', '{"a": 1, "b": 2}', "3"])
+    @pytest.mark.parametrize(
+        "categories", ['"ab"', '{"a": 1, "b": 2}', "3", "[1, 2]", '["a", null]']
+    )
     def test_categories_must_be_a_list(self, tmp_path, categories):
         path = write(tmp_path / "schema.json", (
             '{"columns": [{"name": "c", "kind": "categorical", "categories": %s},'

@@ -4,6 +4,8 @@ algebra closed form, LASSO against dense coefficient-grid search, plus
 KKT certification and the standardization contract.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from claimtree.elastic_net import (
     LAMBDA_MIN,
     LAMBDA_RATIO,
     N_LAMBDAS,
+    PATH_THRESH,
     PenaltySpec,
     RankDeficiencyError,
     coordinate_descent,
@@ -262,8 +265,9 @@ class TestElasticNet:
         np.testing.assert_allclose(direct, via_std, atol=1e-8)
 
 
-def residual_update_cd(X, y, alpha, lam, beta):
-    """Cyclic coordinate descent that keeps the residual y - X b, from beta."""
+def residual_update_cd(X, y, alpha, lam, beta, tol):
+    """Cyclic coordinate descent that keeps the residual y - X b, from beta,
+    until a sweep moves no coefficient by ``tol`` or moves none at all."""
     n, p = X.shape
     beta = beta.copy()
     resid = y - X @ beta
@@ -278,14 +282,16 @@ def residual_update_cd(X, y, alpha, lam, beta):
                 resid += X[:, j] * (old - new)
                 beta[j] = new
                 delta = max(delta, abs(new - old))
-        if delta < CD_TOL:
+        if delta < tol or delta == 0.0:
             break
     return beta
 
 
-def reference_lambda_path_cv(X, y, alpha, k, seed):
+def reference_lambda_path_cv(X, y, alpha, k, seed, tol=None):
     """lambda.min and the CV curve from a plain loop: each fold on its own,
-    warm-started down the path with residual-update coordinate descent."""
+    warm-started down the path with residual-update coordinate descent.
+    Each fold stops at sqrt(PATH_THRESH * ||yc||^2) of its centered training
+    response yc (glmnet's relative rule), or at ``tol`` when one is given."""
     keep = nonconstant_columns(X)
     Xs, _ = standardize_matrix(X[:, keep])
     lam_top = lambda_max(Xs, y - y.mean(), alpha)
@@ -299,9 +305,11 @@ def reference_lambda_path_cv(X, y, alpha, k, seed):
         sub = nonconstant_columns(Xtr)
         Xtr_s, st = standardize_matrix(Xtr[:, sub])
         Xte_s = st.apply(X[test_idx][:, sub])
+        yc = ytr - ytr.mean()
+        fold_tol = np.sqrt(PATH_THRESH * (yc @ yc)) if tol is None else tol
         beta = np.zeros(Xtr_s.shape[1])
         for li, lam in enumerate(grid):
-            beta = residual_update_cd(Xtr_s, ytr - ytr.mean(), alpha, lam, beta)
+            beta = residual_update_cd(Xtr_s, yc, alpha, lam, beta, fold_tol)
             errors[fi, li] = ((y[test_idx] - (ytr.mean() + Xte_s @ beta)) ** 2).mean()
     cv_mean = errors.mean(axis=0)
     return float(grid[np.argmin(cv_mean)]), cv_mean
@@ -396,6 +404,54 @@ class TestLambdaPath:
         lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
         assert path.lambda_min == lam_min
         np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_constant_training_response_in_one_fold(self, alpha):
+        """Every nonzero y sits in fold 0's test rows, so fold 0 trains on a
+        constant response: its relative bound is 0, and it must still stop
+        after one sweep at 0 and pick what the absolute rule picks."""
+        rng = np.random.default_rng(23)
+        n, k, seed = 60, 10, 4
+        X = rng.normal(size=(n, 4))
+        fold0 = np.array_split(np.random.default_rng(seed).permutation(n), k)[0]
+        y = np.zeros(n)
+        y[fold0[:2]] = [3.0, 5.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = lambda_path_cv(X, y, alpha, k=k, seed=seed)
+        lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
+        assert path.lambda_min == lam_min
+        np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+        assert path.lambda_min == reference_lambda_path_cv(X, y, alpha, k, seed=seed, tol=CD_TOL)[0]
+
+    def test_scaling_y_scales_the_grid_and_keeps_the_choice(self):
+        """The LASSO is scale-equivariant: y -> c y takes b -> c b at lam ->
+        c lam, so with a stopping bound relative to y the path picks the
+        same grid index. (At alpha < 1 the ridge term breaks that symmetry.)"""
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(80, 6))
+        y = X @ np.array([1.0, 0.0, -0.5, 0.0, 0.2, 0.0]) + 2.0 * rng.normal(size=80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = {c: lambda_path_cv(X, c * y, 1.0, k=5, seed=1) for c in (1e-3, 1.0, 1e4)}
+        base = paths[1.0]
+        index = int(np.flatnonzero(base.lambdas == base.lambda_min)[0])
+        assert 0 < index < N_LAMBDAS - 1
+        for c, path in paths.items():
+            np.testing.assert_allclose(path.lambdas, c * base.lambdas, rtol=1e-12)
+            assert path.lambda_min == path.lambdas[index]
+
+    def test_more_columns_than_rows_on_claim_scale_converges(self):
+        """p > n with a response of sd about 4000, where an absolute bound
+        on coefficient change stalls at the sweep cap."""
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(45, 60))
+        y = np.abs(X[:, :3] @ np.array([1500.0, -900.0, 600.0]) + 6500.0 * rng.normal(size=45))
+        assert 3000.0 < y.std() < 5000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = lambda_path_cv(X, y, alpha=1.0, k=10, seed=0)
+        assert path.lambda_min in path.lambdas
 
     def test_nonconvergence_warns_with_fold_and_lambda(self, monkeypatch):
         monkeypatch.setattr(elastic_net, "CD_MAX_ITER", 1)

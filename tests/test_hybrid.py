@@ -340,6 +340,7 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, problem", [
         ({"categories": "ab"}, "categories must be a list of labels"),
         ({"kind": "ordinal"}, "unknown kind 'ordinal'"),
+        ({"kind": "categorical", "categories": [1, 2]}, "categories must be a list of labels"),
     ])
     def test_malformed_schema_entry_rejected(self, tmp_path, edit, problem):
         model, _ = self.fitted_elastic()
