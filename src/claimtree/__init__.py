@@ -20,6 +20,7 @@ from .cart import (  # noqa: F401
     misclassification,
     prune,
     to_dot,
+    truncate,
     variable_importance,
 )
 from .data import (  # noqa: F401

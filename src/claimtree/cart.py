@@ -8,6 +8,8 @@ the children of node m are 2m and 2m+1.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -323,6 +325,80 @@ def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
         stack.append((2 * nid + 1, depth + 1, n_right, pos_right, right))
         stack.append((2 * nid, depth + 1, n_left, pos_left, left))
     return Tree(nodes=nodes, feature_names=names, hyperparams=hyperparams)
+
+
+def truncate(tree: Tree, hyperparams: TreeHyperparams) -> Tree:
+    """The tree that ``grow(ds, hyperparams)`` gives, cut from ``tree``.
+
+    ``tree`` must have been grown on the same rows of ``ds`` with the same
+    impurity, a maxdepth at least as large and a minsplit at least as
+    small. Split choice never depends on maxdepth or minsplit: they only
+    decide which nodes are searched. So a kept node becomes terminal when
+    its depth reaches ``hyperparams.maxdepth`` or it holds fewer than
+    ``hyperparams.minsplit`` rows, and its descendants are dropped. Nodes
+    are copied and kept in pre-order; the result carries ``hyperparams``,
+    cp included. Raises ValueError when ``tree`` cannot produce them.
+    """
+    if not _covers(tree.hyperparams, hyperparams):
+        raise ValueError(
+            f"a tree grown with {tree.hyperparams} cannot be truncated to {hyperparams}"
+        )
+    nodes: dict[int, TreeNode] = {}
+    for nid, nd in tree.nodes.items():  # pre-order: a parent comes before its children
+        parent = nodes.get(nid // 2)
+        if nid > 1 and (parent is None or parent.is_terminal):
+            continue
+        node = nodes[nid] = replace(nd)
+        if node.depth >= hyperparams.maxdepth or node.n_node < hyperparams.minsplit:
+            node.split, node.gain = None, 0.0
+    return replace(tree, nodes=nodes, hyperparams=hyperparams)
+
+
+def _covers(grown: TreeHyperparams, wanted: TreeHyperparams) -> bool:
+    """Whether a tree grown with ``grown`` can be truncated to ``wanted``."""
+    return (
+        grown.impurity == wanted.impurity
+        and grown.maxdepth >= wanted.maxdepth
+        and grown.minsplit <= wanted.minsplit
+    )
+
+
+# [dataset, tree] kept by the innermost ``tree_reuse`` block; None outside
+# every block, so nothing is kept there.
+_kept: ContextVar[list | None] = ContextVar("claimtree_kept_tree", default=None)
+
+
+@contextmanager
+def tree_reuse():
+    """A block within which one grown tree is kept for reuse.
+
+    Inside it, :func:`reused_tree` cuts the kept tree to a request on the
+    same ``Dataset`` object (datasets are immutable, so the same object
+    means the same rows), and :func:`keep_tree` replaces the kept tree. It
+    is released when the block ends; outside every block nothing is kept.
+    """
+    token = _kept.set([None, None])
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
+def reused_tree(ds: Dataset, hyperparams: TreeHyperparams) -> Tree | None:
+    """The kept tree truncated to ``hyperparams``, or None when no tree is
+    kept for ``ds`` or the kept one does not cover them."""
+    slot = _kept.get()
+    if slot is None or slot[0] is not ds or not _covers(slot[1].hyperparams, hyperparams):
+        return None
+    return truncate(slot[1], hyperparams)
+
+
+def keep_tree(ds: Dataset, tree: Tree) -> None:
+    """Keep ``tree``, grown on ``ds``, for the rest of the current
+    :func:`tree_reuse` block; outside every block, do nothing."""
+    slot = _kept.get()
+    if slot is not None:
+        slot[:] = ds, tree
 
 
 def prune(tree: Tree, alpha: float) -> Tree:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -229,7 +230,9 @@ def load_csv(path, schema) -> Dataset:
 
     Rejects missing columns, missing values, unparseable or non-finite
     numbers, unknown category labels and negative responses; error messages
-    name the data row (1-based) and column.
+    name the data row (1-based) and column. A number is what ``float``
+    reads, except the Python literal forms with ``_`` (``1_000``), which no
+    CSV writer produces.
     """
     schema = validate_schema(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -245,9 +248,15 @@ def load_csv(path, schema) -> Dataset:
             # "" is never looked up as a label, so an empty cell fails either parser
             labels = {label: i for i, label in enumerate(col.categories or ()) if label}
             rules.append((header.index(col.name), labels.__getitem__ if col.categories else float))
+        # float reads "1_000" as 1000.0. One search of the whole record finds
+        # any "_"; only then are its numeric cells searched, as labels and
+        # columns outside the schema may hold "_".
+        numeric_cells = itemgetter(*(pos for col, (pos, _) in zip(schema, rules) if not col.categories))
         rows = []
         for r, record in enumerate(reader, start=1):
             try:
+                if "_" in "".join(record) and "_" in "".join(numeric_cells(record)):
+                    raise ValueError("underscore in a number")
                 rows.append(np.array([parse(record[pos].strip()) for pos, parse in rules], dtype=float))
             except (IndexError, KeyError, ValueError):
                 raise _row_error(path, r, record, schema, rules) from None
@@ -273,6 +282,8 @@ def _row_error(path, r, record, schema, rules) -> DataError:
     for col, (pos, parse) in zip(schema, rules):
         cell = record[pos].strip() if pos < len(record) else ""
         try:
+            if "_" in cell and not col.categories:
+                raise ValueError(cell)
             parse(cell)
         except (KeyError, ValueError):
             problem = "unknown category" if col.kind == "categorical" else "cannot parse"

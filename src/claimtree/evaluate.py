@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cart import tree_reuse
 from .data import DataError, Dataset
 
 log = logging.getLogger(__name__)
@@ -190,22 +191,48 @@ def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int, params: dict | No
 
     A data or numerical error from the learner marks the fold (and hence
     the cell) invalid rather than aborting the whole search; any other
-    exception is a bug and propagates.
+    exception is a bug and propagates. This is the one-cell case of
+    :func:`grid_search`'s fold-major loop: each fold's train and test
+    datasets are built once, and fits within a fold may share one grown
+    tree (:func:`claimtree.cart.tree_reuse`).
+    """
+    return _cross_validate(ds, [(dict(params or {}), learner)], k, seed)[0]
+
+
+def _depth_first(params: dict):
+    # Deepest cell first (maxdepth descending, then minsplit ascending), so
+    # the first fit of a fold grows a tree that covers every later cell.
+    return (-params.get("maxdepth", 0), params.get("minsplit", 0))
+
+
+def _cross_validate(ds: Dataset, cells: list[tuple[dict, Learner]], k: int, seed: int) -> list[CVCell]:
+    """One CVCell per (params, learner) pair, all on the same k folds.
+
+    Folds are the outer loop. Each fold's train and test datasets are built
+    once, every cell is fitted on that same pair of objects, deepest cell
+    first, and both are dropped before the next fold, so one fold's copies
+    are live at a time. Within a fold the cells share one grown tree
+    (:func:`claimtree.cart.tree_reuse`). Results land in the cells' own
+    order, each cell's fold results and failures in fold order.
     """
     folds = fold_indices(ds.n, k, seed)
     all_idx = np.arange(ds.n)
-    cell = CVCell(params=dict(params or {}), fold_rmse=[], failures=[])
+    out = [CVCell(params=params, fold_rmse=[], failures=[]) for params, _ in cells]
+    order = sorted(range(len(cells)), key=lambda i: _depth_first(cells[i][0]))
     for fi, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=False)
-        try:
-            predictor = learner(ds.subset(train_idx))
-            pred = np.asarray(predictor(ds.subset(test_idx)), dtype=float)
-            cell.fold_rmse.append(rmse(ds.response[test_idx], pred))
-        except (DataError, ValueError, ArithmeticError) as exc:
-            # ValueError covers UndefinedMetricError and np.linalg.LinAlgError
-            # (RankDeficiencyError); DataError is not a ValueError.
-            cell.failures.append(f"fold {fi}: {exc}")
-    return cell
+        train = ds.subset(np.setdiff1d(all_idx, test_idx, assume_unique=False))
+        test = ds.subset(test_idx)
+        with tree_reuse():
+            for i in order:
+                try:
+                    pred = np.asarray(cells[i][1](train)(test), dtype=float)
+                    out[i].fold_rmse.append(rmse(ds.response[test_idx], pred))
+                except (DataError, ValueError, ArithmeticError) as exc:
+                    # ValueError covers UndefinedMetricError and np.linalg.LinAlgError
+                    # (RankDeficiencyError); DataError is not a ValueError.
+                    out[i].failures.append(f"fold {fi}: {exc}")
+        del train, test
+    return out
 
 
 @dataclass
@@ -235,13 +262,20 @@ def grid_search(
     then the smaller maxdepth. Every learner is built before any fold is
     fitted, so a bad cell fails at once. Raises if the grid is empty or
     every cell failed.
+
+    The search runs fold-major: each fold's datasets are built once and
+    every cell is fitted on them, deepest cell first (maxdepth descending,
+    then minsplit ascending). A hybrid learner grows the fold's tree once,
+    in the first cell, and the later cells truncate it
+    (:func:`claimtree.cart.truncate`), which gives the tree they would
+    grow. Cells, their fold results and failures keep grid order.
     """
     if not grid:
         raise ValueError("empty grid")
     names = list(grid)
     combos = [dict(zip(names, c)) for c in itertools.product(*(grid[name] for name in names))]
     learners = [learner_factory(params) for params in combos]
-    cells = [kfold_cv(ds, learner, k, seed, params=p) for p, learner in zip(combos, learners)]
+    cells = _cross_validate(ds, list(zip(combos, learners)), k, seed)
     valid = [c for c in cells if c.valid]
     if not valid:
         raise ValueError("every grid cell failed cross-validation")

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .cart import (
-    Tree, TreeHyperparams, cp_to_alpha, grow, prune, require_int, to_dot, tree_from_dict, tree_to_dict,
+    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, prune, require_int, reused_tree, to_dot,
+    tree_from_dict, tree_to_dict,
 )
 from .data import (
     Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, nonconstant_columns,
@@ -146,10 +147,19 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     An OLS terminal whose design is rank deficient falls back to the node
     mean with a logged warning. ``seed`` feeds the per-node penalty
     cross-validation when glm_lambda is "lambda.min".
+
+    Inside a :func:`claimtree.cart.tree_reuse` block, a tree already grown
+    on this same ``ds`` object with a maxdepth at least as large and a
+    minsplit at least as small is truncated instead of grown again, which
+    gives the same tree; a tree that is grown is kept for later fits.
     """
     if ds.n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    full = grow(ds, hp.tree_hyperparams())
+    tree_hp = hp.tree_hyperparams()
+    full = reused_tree(ds, tree_hp)
+    if full is None:
+        full = grow(ds, tree_hp)
+        keep_tree(ds, full)
     tree = prune(full, cp_to_alpha(full, hp.cp))
 
     X, names = feature_matrix(ds)

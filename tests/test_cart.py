@@ -28,6 +28,7 @@ from claimtree.cart import (
     prune,
     to_dot,
     tree_to_dict,
+    truncate,
     variable_importance,
 )
 from claimtree.data import Column, Dataset, feature_matrix
@@ -528,17 +529,6 @@ class TestGrowEdgeCases:
         np.testing.assert_array_equal(clipped, np.zeros(5))
 
 
-def truncate(tree, depth):
-    """The nodes of ``tree`` down to ``depth``, those at ``depth`` made terminal."""
-    nodes = {}
-    for nid, nd in tree.nodes.items():
-        if nd.depth < depth:
-            nodes[nid] = replace(nd)
-        elif nd.depth == depth:
-            nodes[nid] = replace(nd, split=None, gain=0.0)
-    return nodes
-
-
 class TestGrowInvariances:
     @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
     def test_truncated_deep_tree_equals_shallow_tree(self, impurity):
@@ -552,9 +542,43 @@ class TestGrowInvariances:
             assert deep.depth() == deepest
             for depth in range(1, deepest):
                 shallow = grow(ds, replace(hp, maxdepth=depth))
-                cut = truncate(deep, depth)
-                assert list(cut) == list(shallow.nodes), f"seed {seed}, depth {depth}"
-                assert cut == shallow.nodes, f"seed {seed}, depth {depth}"
+                cut = truncate(deep, replace(hp, maxdepth=depth))
+                assert list(cut.nodes) == list(shallow.nodes), f"seed {seed}, depth {depth}"
+                assert cut == shallow, f"seed {seed}, depth {depth}"
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_truncated_small_minsplit_tree_equals_large_minsplit_tree(self, impurity):
+        """Split choice never depends on minsplit either: the minsplit-4 tree
+        cut to minsplit m is the minsplit-m tree, node for node and in order."""
+        for seed in (1, 2):
+            ds = simulate(SimConfig(n=1500, seed=seed)).dataset
+            hp = TreeHyperparams(maxdepth=10, minsplit=4, impurity=impurity)
+            small = grow(ds, hp)
+            for minsplit in (5, 8, 20, 60, 200, 1500, 1501):
+                large = grow(ds, replace(hp, minsplit=minsplit))
+                cut = truncate(small, replace(hp, minsplit=minsplit))
+                assert list(cut.nodes) == list(large.nodes), f"seed {seed}, minsplit {minsplit}"
+                assert cut == large, f"seed {seed}, minsplit {minsplit}"
+
+    def test_truncate_carries_the_requested_settings_and_copies_nodes(self):
+        ds = simulate(SimConfig(n=600, seed=4)).dataset
+        deep = grow(ds, TreeHyperparams(maxdepth=6, minsplit=4))
+        hp = TreeHyperparams(cp=0.01, maxdepth=6, minsplit=4)
+        cut = truncate(deep, hp)
+        assert cut.hyperparams == hp and cut.nodes == deep.nodes
+        cut.nodes[1].split = None
+        assert deep.nodes[1].split is not None
+
+    @pytest.mark.parametrize("wanted", [
+        TreeHyperparams(maxdepth=7, minsplit=8),
+        TreeHyperparams(maxdepth=6, minsplit=7),
+        TreeHyperparams(maxdepth=6, minsplit=8, impurity="entropy"),
+    ])
+    def test_truncate_rejects_settings_the_tree_cannot_give(self, wanted):
+        ds = simulate(SimConfig(n=300, seed=4)).dataset
+        tree = grow(ds, TreeHyperparams(maxdepth=6, minsplit=8))
+        with pytest.raises(ValueError, match="cannot be truncated"):
+            truncate(tree, wanted)
 
     @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
     def test_row_order_does_not_change_the_tree(self, impurity):

@@ -292,6 +292,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("cell, problem", [
         ("nan", "non-finite value nan"),
         ("abc", "cannot parse 'abc'"),
+        ("1_000", "cannot parse '1_000'"),
         ("-1.5", "negative response -1.5"),
         ("", "missing value"),
     ])

@@ -53,6 +53,8 @@ def reference_load_csv(path, schema):
                     parsed[j] = col.categories.index(cell)
                 else:
                     try:
+                        if "_" in cell:  # a Python literal form such as 1_000, not a CSV number
+                            raise ValueError(cell)
                         parsed[j] = float(cell)
                     except ValueError:
                         raise DataError(
@@ -165,6 +167,15 @@ class TestBattery:
         f.write_text("c,y\n1.0,1\n", encoding="utf-8")
         assert assert_same_load(f, schema)[1].endswith("unknown category '1.0'")
 
+    def test_underscored_number_is_named_but_underscored_label_loads(self, tmp_path):
+        schema = (Column("c", "categorical", ("a_b", "c")), Column("y", "response"))
+        f = tmp_path / "d.csv"
+        f.write_text("c,y,note\na_b,1,x_y\nc,1_000,z\n", encoding="utf-8")
+        kind, message = assert_same_load(f, schema)
+        assert (kind, message) == ("error", f"{f}: row 2, column 'y': cannot parse '1_000'")
+        f.write_text("c,y,note\na_b,1,x_y\n", encoding="utf-8")
+        assert load_csv(f, schema).values.tolist() == [[0.0, 1.0]]
+
     def test_round_trip_writes_identical_bytes(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(BATTERY["well formed"], encoding="utf-8")
@@ -187,7 +198,7 @@ def test_predict_writes_the_reference_bytes(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-LABELS = st.sampled_from(["", "0", "1.5", "a", " b", "a,b", 'q"']) | st.text(alphabet='ab ,"z0\t', max_size=3)
+LABELS = st.sampled_from(["", "0", "1.5", "a", " b", "a,b", 'q"', "a_b"]) | st.text(alphabet='ab ,"z0\t', max_size=3)
 CELLS = ["", " ", "0", "1", " 2.5 ", "-3e2", "1_0", "nan", "-inf", "1e400", "abc", "a", " b ", "a,b"]
 
 

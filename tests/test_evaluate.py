@@ -1,10 +1,13 @@
 """Validation measures, cross-validation and the comparison table."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from claimtree import hybrid
+from claimtree.cart import grow, tree_reuse
 from claimtree.data import Column, DataError, Dataset
 from claimtree.evaluate import (
     UndefinedMetricError,
@@ -25,6 +28,8 @@ from claimtree.evaluate import (
     rescale,
     rmse,
 )
+from claimtree.hybrid import HybridHyperparams
+from claimtree.simulate import SimConfig, simulate
 
 
 def dataset_from_xy(x, y):
@@ -365,3 +370,92 @@ class TestComparisonTable:
         svg = comparison_svg(table)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") == 2 * 2 * 7  # splits x models x measures
+
+
+class TestGrowOncePerFold:
+    """grid_search grows each fold's tree once and cuts every cell's tree from it."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return simulate(SimConfig(n=400, seed=3)).dataset
+
+    @staticmethod
+    def ols_factory(params):
+        hp = HybridHyperparams(**{"severity_learner": "ols", **params})
+
+        def learner(ds_train):
+            model = hybrid.fit(ds_train, hp)
+            return lambda ds: hybrid.predict_batch(model, ds)[2]
+
+        return learner
+
+    @staticmethod
+    def count_grows(monkeypatch):
+        calls = []
+
+        def counting_grow(ds, hp):
+            calls.append(hp)
+            return grow(ds, hp)
+
+        monkeypatch.setattr(hybrid, "grow", counting_grow)
+        return calls
+
+    def test_cells_equal_separate_kfold_runs(self, ds):
+        grid = {"cp": [1e-4, 5e-3], "maxdepth": [6, 10, 8], "minsplit": [4, 20]}
+        result = grid_search(ds, grid, k=3, seed=2, learner_factory=self.ols_factory)
+        separate = [kfold_cv(ds, self.ols_factory(c.params), k=3, seed=2, params=c.params)
+                    for c in result.cells]
+        assert [c.params["maxdepth"] for c in result.cells[:3]] == [6, 6, 10]  # grid order
+        assert result.cells == separate
+
+    def test_grid_grows_once_per_fold(self, ds, monkeypatch):
+        calls = self.count_grows(monkeypatch)
+        grid = {"cp": [1e-4, 2e-4], "maxdepth": [8, 10]}
+        grid_search(ds, grid, k=5, seed=1, learner_factory=self.ols_factory)
+        assert [hp.maxdepth for hp in calls] == [10] * 5
+
+    def test_kfold_cv_grows_once_per_fold(self, ds, monkeypatch):
+        calls = self.count_grows(monkeypatch)
+        kfold_cv(ds, self.ols_factory({}), k=4, seed=0)
+        assert len(calls) == 4
+
+    def test_fits_outside_a_search_grow_every_time(self, ds, monkeypatch):
+        calls = self.count_grows(monkeypatch)
+        hp = HybridHyperparams(severity_learner="ols")
+        first, second = hybrid.fit(ds, hp), hybrid.fit(ds, hp)
+        assert len(calls) == 2
+        assert hybrid.to_json(first) == hybrid.to_json(second)
+
+    def test_reuse_needs_the_same_dataset_and_a_covering_tree(self, ds, monkeypatch):
+        calls = self.count_grows(monkeypatch)
+        copy = ds.subset(np.arange(ds.n))
+        hp = HybridHyperparams(severity_learner="ols", maxdepth=6, minsplit=10)
+        wanted = [hp, replace(hp, maxdepth=8), replace(hp, minsplit=4), replace(hp, cp=0.01)]
+        expected = [hybrid.to_json(hybrid.fit(ds, h)) for h in wanted]
+        del calls[:]
+        with tree_reuse():
+            got = [hybrid.to_json(hybrid.fit(ds, h)) for h in wanted]
+            hybrid.fit(copy, hp)
+        # a request the kept tree does not cover grows (and is kept), the cp
+        # request reuses the kept tree, and an equal but distinct dataset grows
+        assert [(h.maxdepth, h.minsplit) for h in calls] == [(6, 10), (8, 10), (6, 4), (6, 10)]
+        assert got == expected
+        hybrid.fit(ds, hp)  # the block has ended: nothing is kept
+        assert len(calls) == 5
+
+    def test_fold_failure_in_one_cell_leaves_the_shared_tree_usable(self, ds, monkeypatch):
+        calls = self.count_grows(monkeypatch)
+
+        def factory(params):
+            if params["maxdepth"] == 10:
+                def broken(ds_train):
+                    hybrid.fit(ds_train, HybridHyperparams(severity_learner="ols", maxdepth=10))
+                    raise ValueError("scored nothing")
+                return broken
+            return self.ols_factory(params)
+
+        result = grid_search(ds, {"maxdepth": [8, 10]}, k=3, seed=0, learner_factory=factory)
+        assert len(calls) == 3
+        assert [f.split(":")[0] for f in result.cells[1].failures] == ["fold 0", "fold 1", "fold 2"]
+        assert result.cells[0] == kfold_cv(ds, self.ols_factory({"maxdepth": 8}), k=3, seed=0,
+                                           params={"maxdepth": 8})
