@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, feature_matrix
+from .data import Dataset, feature_matrix, require_int, require_real
 
 
 def _impurity_vec(name: str, p: np.ndarray) -> np.ndarray:
@@ -76,11 +76,15 @@ class SplitRule:
 @dataclass
 class TreeNode:
     id: int
-    depth: int
     n_node: int
     n_positive: int
     split: SplitRule | None = None
     gain: float = 0.0  # weighted impurity decrease, weights relative to root
+
+    @property
+    def depth(self) -> int:
+        """Edges from the root, read off the heap id: node m lies at depth floor(log2 m)."""
+        return self.id.bit_length() - 1
 
     @property
     def is_terminal(self) -> bool:
@@ -96,14 +100,6 @@ class TreeNode:
         return min(self.n_positive, self.n_node - self.n_positive)
 
 
-def require_int(settings, *names) -> None:
-    """Raise ValueError unless each named field is an int (a bool is not)."""
-    for name in names:
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TreeHyperparams:
     cp: float = 0.0
@@ -112,7 +108,8 @@ class TreeHyperparams:
     impurity: str = "gini"
 
     def __post_init__(self):
-        require_int(self, "maxdepth", "minsplit")
+        require_int(maxdepth=self.maxdepth, minsplit=self.minsplit)
+        require_real(cp=self.cp)
         if self.cp < 0:
             raise ValueError("cp must be >= 0")
         if not 1 <= self.maxdepth <= MAX_DEPTH:
@@ -300,7 +297,7 @@ def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
     stack = [(1, 0, root_n, pos_root, _presort(XT) if searchable(0, root_n, pos_root) else None)]
     while stack:
         nid, depth, n, n_positive, order = stack.pop()
-        node = TreeNode(id=nid, depth=depth, n_node=n, n_positive=n_positive)
+        node = TreeNode(id=nid, n_node=n, n_positive=n_positive)
         nodes[nid] = node
         if order is None:
             continue
@@ -460,9 +457,9 @@ def variable_importance(tree: Tree) -> dict[str, float]:
     return {name: 100.0 * v / top for name, v in raw.items()}
 
 
-def to_dot(tree: Tree, title: str = "occurrence_tree") -> str:
+def to_dot(tree: Tree) -> str:
     """Render the tree as Graphviz DOT text."""
-    lines = [f'digraph "{title}" {{', "  node [shape=box, fontname=Helvetica];"]
+    lines = ['digraph "occurrence_tree" {', "  node [shape=box, fontname=Helvetica];"]
     for nid in sorted(tree.nodes):
         nd = tree.nodes[nid]
         frac = nd.n_positive / nd.n_node if nd.n_node else 0.0
@@ -508,23 +505,35 @@ def tree_to_dict(tree: Tree) -> dict:
 
 
 def tree_from_dict(d: dict) -> Tree:
+    """Rebuild a tree written by :func:`tree_to_dict`.
+
+    Each child's id is derived from its parent's (root 1, children 2m and
+    2m+1) and a stored id that differs is rejected, as is a split on a
+    feature outside ``feature_names`` or at a threshold that is not a
+    finite number. Raises ValueError naming the first bad node.
+    """
     hp = TreeHyperparams(**d["hyperparams"])
+    names = list(d["feature_names"])
     nodes: dict[int, TreeNode] = {}
 
-    def build(entry: dict, depth: int) -> None:
-        nid = entry["id"]
-        node = TreeNode(
-            id=nid,
-            depth=depth,
-            n_node=entry["n"],
-            n_positive=entry["n_positive"],
-        )
+    def build(entry: dict, nid: int) -> None:
+        if entry["id"] != nid:
+            raise ValueError(f"node id {entry['id']!r} where node {nid} belongs")
+        if nid >= 2 ** (MAX_DEPTH + 1):  # routing keeps node ids in int64
+            raise ValueError(f"node {nid} lies deeper than {MAX_DEPTH}")
+        require_int(**{f"node {nid} n": entry["n"], f"node {nid} n_positive": entry["n_positive"]})
+        node = TreeNode(id=nid, n_node=entry["n"], n_positive=entry["n_positive"])
         nodes[nid] = node  # before the children: pre-order, as grow and prune insert
         if "split" in entry:
-            node.split = SplitRule(entry["split"]["feature"], entry["split"]["threshold"])
+            feature, threshold = entry["split"]["feature"], entry["split"]["threshold"]
+            require_int(**{f"node {nid} split feature": feature})
+            require_real(**{f"node {nid} split threshold": threshold})
+            if not 0 <= feature < len(names):
+                raise ValueError(f"node {nid} splits on feature {feature}, not one of the {len(names)}")
+            node.split = SplitRule(feature, threshold)
             node.gain = entry.get("gain", 0.0)
-            build(entry["left"], depth + 1)
-            build(entry["right"], depth + 1)
+            build(entry["left"], 2 * nid)
+            build(entry["right"], 2 * nid + 1)
 
-    build(d["root"], 0)
-    return Tree(nodes=nodes, feature_names=list(d["feature_names"]), hyperparams=hp)
+    build(d["root"], 1)
+    return Tree(nodes=nodes, feature_names=names, hyperparams=hp)

@@ -17,7 +17,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import Column, DataError, Dataset, load_csv, load_schema, save_csv, save_schema, write_csv
+from .data import (
+    Column, DataError, Dataset, json_text, load_csv, load_schema, require_int, save_csv, save_schema,
+    write_csv,
+)
 from .elastic_net import LAMBDA_MIN
 from .evaluate import (
     comparison_svg,
@@ -176,7 +179,7 @@ def _read_json_input(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise CliValidationError(f"cannot read {what} file {path}: {exc}") from exc
 
 
@@ -199,11 +202,12 @@ def _resolve(args, cfg: dict, name: str, default):
 
 
 def _parse_glm_lambda(value):
-    if value is None or value == LAMBDA_MIN:
+    # Only text is converted; any other value meets HybridHyperparams' own checks.
+    if not isinstance(value, str) or value == LAMBDA_MIN:
         return value
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise CliValidationError(
             f'glm-lambda must be a number or "{LAMBDA_MIN}", got {value!r}'
         ) from None
@@ -244,8 +248,7 @@ def _check_out_file(path: str, force: bool) -> Path:
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict, seed) -> None:
@@ -326,8 +329,12 @@ def cmd_tune(args) -> int:
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise CliValidationError(f"grid values for {key!r} must be a non-empty list")
-    if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
-        raise CliValidationError(f"folds must be an integer >= 2, got {folds!r}")
+    try:
+        require_int(folds=folds)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from None
+    if folds < 2:
+        raise CliValidationError(f"folds must be >= 2, got {folds}")
     ds = _load_dataset(args.data, args.schema)
     out = _prepare_out_dir(args.out, args.force, ["winner.json", "cv_table.csv", "manifest.json"])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -20,6 +21,26 @@ VALID_KINDS = ("continuous", "categorical", "response", "count")
 
 class DataError(Exception):
     """Raised for ingestion, schema and standardization problems."""
+
+
+def require_int(**values) -> None:
+    """Raise ValueError, naming the value, unless each is an int (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(**values) -> None:
+    """Raise ValueError, naming the value, unless each is a finite int or
+    float (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def json_text(payload) -> str:
+    """The package's one JSON text format: indented, keys sorted, newline-terminated."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -209,7 +230,7 @@ def load_schema(path) -> tuple[Column, ...]:
             return validate_schema([column_from_dict(entry) for entry in json.load(fh)["columns"]])
         except KeyError as exc:
             raise DataError(f"malformed schema file {path}: missing key {exc}") from None
-        except (DataError, TypeError, ValueError) as exc:
+        except (DataError, TypeError, ValueError, RecursionError) as exc:  # too deeply nested
             raise DataError(f"malformed schema file {path}: {exc}") from None
 
 
@@ -221,8 +242,7 @@ def save_schema(columns, path) -> None:
             entry["categories"] = list(c.categories)
         payload["columns"].append(entry)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def load_csv(path, schema) -> Dataset:

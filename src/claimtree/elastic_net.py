@@ -25,7 +25,7 @@ response's unit. A single fit, the final full-data fit of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class CDResult:
     beta: np.ndarray
     converged: bool
     sweeps: int
-    objectives: list[float] = field(default_factory=list)
 
 
 def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
@@ -217,39 +216,24 @@ def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
 
 
 def coordinate_descent(
-    X: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    lam: float,
-    tol: float = CD_TOL,
-    max_iter: int = CD_MAX_ITER,
-    beta0: np.ndarray | None = None,
-    record_objective: bool = False,
+    X: np.ndarray, y: np.ndarray, alpha: float, lam: float, tol: float = CD_TOL
 ) -> CDResult:
     """Cyclic coordinate descent on a standardized design.
 
     Requires columns with sum of squares 1 (the per-coordinate quadratic
     weight then collapses to a constant) and a centered response. Starts
-    from ``beta0`` (zero by default), sweeps coordinates in order and stops
-    when the largest coefficient change in a sweep drops below ``tol``.
-    This is the one-problem case of the covariance-mode kernel; with
-    ``record_objective`` it runs one sweep at a time.
+    from zero, sweeps coordinates in order and stops when the largest
+    coefficient change in a sweep drops below ``tol``, or unconverged after
+    ``CD_MAX_ITER`` sweeps. This is the one-problem case of the
+    covariance-mode kernel.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    beta = np.zeros((1, p)) if beta0 is None else np.array(beta0, dtype=float).reshape(1, p)
-    G, c = (X.T @ X)[None], (X.T @ y)[None]
-    objectives = [enet_objective(X, y, beta[0], alpha, lam)] if record_objective else []
-    chunk = 1 if record_objective else max_iter
-    sweeps, converged = 0, False
-    while not converged and sweeps < max_iter:
-        ran, conv = _cd_kernel(G, c, [n], alpha, lam, beta, tol, min(chunk, max_iter - sweeps))
-        sweeps += int(ran[0])
-        converged = bool(conv[0])
-        if record_objective:
-            objectives.append(enet_objective(X, y, beta[0], alpha, lam))
-    return CDResult(beta=beta[0], converged=converged, sweeps=sweeps, objectives=objectives)
+    beta = np.zeros((1, X.shape[1]))
+    sweeps, converged = _cd_kernel(
+        (X.T @ X)[None], (X.T @ y)[None], [X.shape[0]], alpha, lam, beta, tol, CD_MAX_ITER
+    )
+    return CDResult(beta=beta[0], converged=bool(converged[0]), sweeps=int(sweeps[0]))
 
 
 def _destandardized_fit(b_std, y_mean, st: Standardization, **kw) -> LinearFit:
@@ -317,7 +301,6 @@ def fit_elastic_net(
     X,
     y,
     penalty: PenaltySpec,
-    max_iter: int = CD_MAX_ITER,
     feature_names=None,
     cv_folds: int = 10,
     cv_seed: int = 0,
@@ -329,7 +312,7 @@ def fit_elastic_net(
     and destandardizes the solution. When ``penalty.lam`` is "lambda.min"
     the penalty size is chosen by :func:`lambda_path_cv` first, whose folds
     stop by the relative rule instead (see the module docstring). A fit that
-    exhausts ``max_iter`` is returned with ``converged=False`` and a warning.
+    exhausts ``CD_MAX_ITER`` sweeps is returned with ``converged=False`` and a warning.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -339,10 +322,10 @@ def fit_elastic_net(
     if lam == LAMBDA_MIN:
         lam = lambda_path_cv(X, y, penalty.alpha, k=cv_folds, seed=cv_seed).lambda_min
     Xs, st = standardize_matrix(X, list(feature_names))
-    res = coordinate_descent(Xs, y - y.mean(), penalty.alpha, lam, max_iter=max_iter)
+    res = coordinate_descent(Xs, y - y.mean(), penalty.alpha, lam)
     if not res.converged:
         warnings.warn(
-            f"coordinate descent did not converge in {max_iter} sweeps", RuntimeWarning
+            f"coordinate descent did not converge in {res.sweeps} sweeps", RuntimeWarning
         )
     return _destandardized_fit(
         res.beta,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -186,7 +186,7 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(block) for block in np.array_split(rng.permutation(n), k)]
 
 
-def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int, params: dict | None = None) -> CVCell:
+def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int) -> CVCell:
     """Fit on k-1 folds, score RMSE on the held-out fold, k times.
 
     A data or numerical error from the learner marks the fold (and hence
@@ -196,7 +196,7 @@ def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int, params: dict | No
     datasets are built once, and fits within a fold may share one grown
     tree (:func:`claimtree.cart.tree_reuse`).
     """
-    return _cross_validate(ds, [(dict(params or {}), learner)], k, seed)[0]
+    return _cross_validate(ds, [({}, learner)], k, seed)[0]
 
 
 def _depth_first(params: dict):
@@ -296,18 +296,17 @@ def cv_table_csv(result: CVResult) -> str:
 def rescale(values: dict[str, float], higher_better: bool, by_abs: bool = False):
     """Min-max rescale to [0, 100], oriented so the best model scores 100.
 
-    Returns (rescaled, tied) where tied flags a degenerate best == worst
-    (everyone then scores 100).
+    When best == worst every model scores 100.
     """
     scored = {m: abs(v) if by_abs else v for m, v in values.items()}
     lo, hi = min(scored.values()), max(scored.values())
     if hi == lo:
-        return {m: 100.0 for m in scored}, True
+        return {m: 100.0 for m in scored}
     out = {}
     for m, v in scored.items():
         frac = (v - lo) / (hi - lo)
         out[m] = 100.0 * (frac if higher_better else 1.0 - frac)
-    return out, False
+    return out
 
 
 @dataclass
@@ -315,7 +314,6 @@ class ComparisonTable:
     model_names: list[str]
     raw: dict[str, dict[str, dict[str, float]]]       # split -> measure -> model -> value
     rescaled: dict[str, dict[str, dict[str, float]]]  # split -> measure -> model -> [0, 100]
-    ties: dict[str, list[str]] = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["split,model," + ",".join(MEASURES) + "," + ",".join(f"{m}_rescaled" for m in MEASURES)]
@@ -342,18 +340,13 @@ def comparison_table(
     names = [name for name, _ in models]
     raw: dict[str, dict[str, dict[str, float]]] = {}
     rescaled: dict[str, dict[str, dict[str, float]]] = {}
-    ties: dict[str, list[str]] = {}
     for split, ds in (("train", ds_train), ("test", ds_test)):
         reports = {name: compute_metrics(ds.response, fn(ds)) for name, fn in models}
         raw[split] = {m: {name: reports[name][m] for name in names} for m in MEASURES}
-        rescaled[split] = {}
-        ties[split] = []
-        for m in MEASURES:
-            scaled, tied = rescale(raw[split][m], HIGHER_IS_BETTER[m], by_abs=(m == "mpe"))
-            rescaled[split][m] = scaled
-            if tied:
-                ties[split].append(m)
-    return ComparisonTable(model_names=names, raw=raw, rescaled=rescaled, ties=ties)
+        rescaled[split] = {
+            m: rescale(raw[split][m], HIGHER_IS_BETTER[m], by_abs=(m == "mpe")) for m in MEASURES
+        }
+    return ComparisonTable(model_names=names, raw=raw, rescaled=rescaled)
 
 
 def _heat_color(value: float) -> str:

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import __version__
 from .cart import (
-    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, prune, require_int, reused_tree, to_dot,
-    tree_from_dict, tree_to_dict,
+    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, prune, reused_tree, to_dot, tree_from_dict,
+    tree_to_dict,
 )
 from .data import (
-    Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, nonconstant_columns,
-    validate_schema,
+    Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, json_text,
+    nonconstant_columns, require_int, require_real, validate_schema,
 )
 from .elastic_net import (
     LAMBDA_MIN,
@@ -64,7 +64,10 @@ class HybridHyperparams:
 
     def __post_init__(self):
         self.tree_hyperparams()  # validates cp, maxdepth and minsplit
-        require_int(self, "min_node_for_linear")
+        require_int(min_node_for_linear=self.min_node_for_linear)
+        require_real(zero_threshold=self.zero_threshold, glm_which=self.glm_which)
+        if not isinstance(self.glm_lambda, str):
+            require_real(glm_lambda=self.glm_lambda)
         if not 0.0 <= self.zero_threshold <= 1.0:
             raise ValueError("zero_threshold must lie in [0, 1]")
         if self.min_node_for_linear < 2:
@@ -116,11 +119,15 @@ class HybridModel:
     node_models: dict[int, NodeModel]
     hyperparams: HybridHyperparams
     schema: tuple[Column, ...]
-    encoded_features: list[str]
     fit_metadata: dict = field(default_factory=dict)
     # Share of zero responses among each terminal's training rows; the one
     # per-terminal fact the tree does not hold.
     zero_fractions: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def encoded_features(self) -> list[str]:
+        """Names of the encoded feature columns, as the tree was grown on them."""
+        return self.tree.feature_names
 
     @property
     def terminal_summaries(self) -> list[TerminalSummary]:
@@ -180,7 +187,6 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
         node_models=node_models,
         hyperparams=hp,
         schema=ds.columns,
-        encoded_features=names,
         fit_metadata={"seed": seed, "software_version": __version__},
         zero_fractions=zero_fractions,
     )
@@ -313,23 +319,32 @@ def _node_model_to_dict(nm: NodeModel) -> dict:
     }
 
 
-def _node_model_from_dict(d: dict) -> NodeModel:
+def _node_model_from_dict(d: dict, n_features: int) -> NodeModel:
     if d["kind"] == "zero":
         return NodeModel(kind="zero")
     if d["kind"] == "mean":
+        require_real(value=d["value"])
         return NodeModel(kind="mean", value=d["value"])
+    idx, coefficients = d["feature_idx"], d["coefficients"]
+    if not (isinstance(idx, list) and isinstance(coefficients, list) and len(idx) == len(coefficients)):
+        raise ValueError("feature_idx and coefficients must be lists of one length")
+    require_real(intercept=d["intercept"], **{f"coefficient {i}": c for i, c in enumerate(coefficients)})
+    for j in idx:
+        require_int(feature_idx=j)
+        if not 0 <= j < n_features:
+            raise ValueError(f"feature_idx {j} is not one of the {n_features} encoded features")
     st = d.get("standardization")
     penalty = d.get("penalty")
     lf = LinearFit(
         intercept=d["intercept"],
-        coefficients=np.asarray(d["coefficients"], dtype=float),
+        coefficients=np.asarray(coefficients, dtype=float),
         feature_names=list(d["feature_names"]),
         standardization=Standardization.from_dict(st) if st else None,
         penalty=PenaltySpec(penalty["alpha"], penalty["lambda"]) if penalty else None,
         converged=d["converged"],
         iterations=d["iterations"],
     )
-    return NodeModel(kind="linear", fit=lf, feature_idx=np.asarray(d["feature_idx"], dtype=int))
+    return NodeModel(kind="linear", fit=lf, feature_idx=np.asarray(idx, dtype=int))
 
 
 def to_json(model: HybridModel) -> str:
@@ -346,7 +361,7 @@ def to_json(model: HybridModel) -> str:
         "fit_metadata": model.fit_metadata,
         "terminal_summaries": [asdict(s) for s in model.terminal_summaries],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def save(model: HybridModel, path) -> None:
@@ -358,13 +373,17 @@ def save(model: HybridModel, path) -> None:
 def load(path) -> HybridModel:
     """Read back a model written by :func:`save`.
 
-    Raises :class:`ModelLoadError` on malformed JSON or an unsupported
-    format version.
+    Raises :class:`ModelLoadError`, naming the file, on malformed JSON, an
+    unsupported format version, or content that cannot route or score a
+    row: node ids off the heap numbering, a split on a feature that does
+    not exist or at a threshold that is not a finite number, a linear
+    terminal's columns out of range, or stored feature names that are not
+    the tree's.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
     try:
         version = payload["format_version"]
@@ -375,8 +394,14 @@ def load(path) -> HybridModel:
         hp = HybridHyperparams(**payload["hyperparams"])
         schema = validate_schema([column_from_dict(c) for c in payload["schema"]])
         tree = tree_from_dict(payload["tree"])
+        if payload["encoded_features"] != tree.feature_names:
+            raise ModelLoadError(
+                f"malformed model file {path}: encoded_features {payload['encoded_features']} "
+                f"are not the tree's feature names {tree.feature_names}"
+            )
+        n_features = len(tree.feature_names)
         node_models = {
-            int(tid): _node_model_from_dict(d) for tid, d in payload["node_models"].items()
+            int(tid): _node_model_from_dict(d, n_features) for tid, d in payload["node_models"].items()
         }
         zero_fractions = {s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]}
         terminals = set(tree.terminal_ids())
@@ -391,7 +416,6 @@ def load(path) -> HybridModel:
             node_models=node_models,
             hyperparams=hp,
             schema=schema,
-            encoded_features=list(payload["encoded_features"]),
             fit_metadata=payload.get("fit_metadata", {}),
             zero_fractions=zero_fractions,
         )

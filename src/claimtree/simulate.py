@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Column, Dataset
+from .data import Column, Dataset, require_int, require_real
 
 CATEGORY_LEVELS = (-3.0, -2.0, 1.0, 4.0)
 RATE_CAP = 1e12
@@ -58,6 +58,12 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "beta_poisson", np.asarray(self.beta_poisson, dtype=float))
         object.__setattr__(self, "beta_gamma", np.asarray(self.beta_gamma, dtype=float))
+        require_int(
+            n=self.n, p_continuous=self.p_continuous, p_categorical=self.p_categorical, seed=self.seed
+        )
+        require_real(rho=self.rho, power=self.power, phi=self.phi)
+        if self.noise_sd is not None:
+            require_real(noise_sd=self.noise_sd)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 1.0 < self.power < 2.0:

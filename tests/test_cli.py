@@ -38,6 +38,55 @@ def trained(tmp_path_factory, portfolio):
     return out
 
 
+@pytest.fixture(scope="module")
+def linear_model(tmp_path_factory):
+    """Seed-3 OLS model on 600 rows at maxdepth 3 with a linear terminal (node 14)."""
+    out = tmp_path_factory.mktemp("linear")
+    assert main(["simulate", "--n", "600", "--seed", "3", "--out", str(out / "sim")]) == 0
+    code = main([
+        "train", "--data", str(out / "sim" / "portfolio.csv"), "--schema", str(out / "sim" / "schema.json"),
+        "--out", str(out / "m"), "--maxdepth", "3", "--zero-threshold", "1", "--severity-learner", "ols",
+    ])
+    assert code == 0
+    return out
+
+
+def _edit_model(payload, edit):
+    """Apply one named corruption to a parsed model.json."""
+    root = payload["tree"]["root"]
+    linear = payload["node_models"]["14"]
+    if edit == "feature out of range":
+        root["split"]["feature"] = 999
+    elif edit == "bool feature":
+        root["split"]["feature"] = True
+    elif edit == "string threshold":
+        root["split"]["threshold"] = "0.5"
+    elif edit == "nan threshold":
+        root["split"]["threshold"] = float("nan")
+    elif edit == "terminal id off the heap":
+        root["left"]["left"]["id"] = 5  # node 4's place
+    elif edit == "feature_idx out of range":
+        linear["feature_idx"][0] = len(payload["encoded_features"])
+    elif edit == "feature_idx shorter than coefficients":
+        linear["feature_idx"].pop()
+    elif edit == "encoded features renamed":
+        payload["encoded_features"][0] = "renamed"
+    elif edit == "bool cp":
+        payload["hyperparams"]["cp"] = True
+    elif edit == "string n":
+        root["n"] = "600"
+    elif edit == "string intercept":
+        linear["intercept"] = "0.0"
+    elif edit == "bool coefficient":
+        linear["coefficients"][1] = True
+    elif edit == "node deeper than 30":
+        node, nid = root["left"]["left"], 4  # a terminal; grow a left spine under it
+        while nid < 2**31:
+            leaves = [{"id": i, "n": 1, "n_positive": 1, "beta_f": 1} for i in (2 * nid, 2 * nid + 1)]
+            node.update(split=dict(root["split"]), gain=0.0, left=leaves[0], right=leaves[1])
+            node, nid = leaves[0], 2 * nid
+
+
 class TestSimulate:
     def test_writes_three_files(self, portfolio):
         for name in ("portfolio.csv", "schema.json", "manifest.json"):
@@ -439,6 +488,57 @@ class TestTune:
         assert code == 2
 
 
+class TestSettingTypes:
+    """A config file value of the wrong type is a validation error naming the field."""
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"n": 50.5}, "n"), ({"n": True}, "n"), ({"seed": 1.0}, "seed"),
+        ({"p_continuous": "3"}, "p_continuous"), ({"p_categorical": False}, "p_categorical"),
+        ({"rho": True}, "rho"), ({"power": "1.5"}, "power"), ({"phi": None}, "phi"),
+        ({"noise_sd": True}, "noise_sd"),
+    ])
+    def test_simulate_config(self, tmp_path, capsys, cfg, name):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {name} must be " in err and "Traceback" not in err
+        assert not (tmp_path / "sim" / "portfolio.csv").exists()
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"cp": True, "glm_which": False, "zero_threshold": True}, "cp"),
+        ({"glm_which": False}, "glm_which"), ({"zero_threshold": True}, "zero_threshold"),
+        ({"glm_lambda": True}, "glm_lambda"), ({"glm_lambda": [0.3]}, "glm_lambda"),
+        ({"cp": "0.01"}, "cp"),
+    ])
+    def test_train_config(self, portfolio, tmp_path, capsys, cfg, name):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main([
+            "train", "--config", str(cfg_file),
+            "--data", str(portfolio / "portfolio.csv"), "--schema", str(portfolio / "schema.json"),
+            "--out", str(tmp_path / "m"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {name} must be a finite number" in err and "Traceback" not in err
+        assert not (tmp_path / "m" / "model.json").exists()
+
+    @pytest.mark.parametrize("folds", [2.0, True, "3"])
+    def test_tune_folds_config(self, tmp_path, capsys, folds):
+        (tmp_path / "grid.json").write_text(json.dumps({"cp": [0.001]}), encoding="utf-8")
+        (tmp_path / "cfg.json").write_text(json.dumps({"folds": folds}), encoding="utf-8")
+        code = main([
+            "tune", "--config", str(tmp_path / "cfg.json"), "--data", str(tmp_path / "absent.csv"),
+            "--schema", str(tmp_path / "absent.json"), "--grid", str(tmp_path / "grid.json"),
+            "--out", str(tmp_path / "t"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: folds must be an integer" in err
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize(
         "payload", [{}, [], {"columns": 3}, {"columns": [{"kind": "response"}]}]
@@ -506,6 +606,56 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err
         assert f"malformed model file {model}: column {entry['name']!r}: categories must be" in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        ("feature out of range", "node 1 splits on feature 999"),
+        ("bool feature", "node 1 split feature must be an integer"),
+        ("string threshold", "node 1 split threshold must be a finite number"),
+        ("nan threshold", "node 1 split threshold must be a finite number"),
+        ("terminal id off the heap", "node id 5 where node 4 belongs"),
+        ("feature_idx out of range", "feature_idx 60 is not one of the 60 encoded features"),
+        ("feature_idx shorter than coefficients", "feature_idx and coefficients must be lists of one length"),
+        ("encoded features renamed", "are not the tree's feature names"),
+        ("bool cp", "cp must be a finite number"),
+        ("string n", "node 1 n must be an integer"),
+        ("string intercept", "intercept must be a finite number"),
+        ("bool coefficient", "coefficient 1 must be a finite number"),
+        ("node deeper than 30", f"node {2**31} lies deeper than 30"),
+    ])
+    def test_unusable_model_is_load_error(self, linear_model, tmp_path, capsys, edit, problem):
+        payload = json.loads((linear_model / "m" / "model.json").read_text())
+        _edit_model(payload, edit)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(model),
+            "--data", str(linear_model / "sim" / "portfolio.csv"), "--out", str(tmp_path / "p.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"malformed model file {model}: " in err and problem in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("which, code, problem", [
+        ("model", 2, "cannot read model file"),
+        ("config", 1, "cannot read config file"),
+        ("schema", 2, "malformed schema file"),
+    ])
+    def test_deeply_nested_json_is_an_error(self, linear_model, tmp_path, capsys, which, code, problem):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        sim = linear_model / "sim"
+        argv = {
+            "model": ["predict", "--model", str(nested), "--data", str(sim / "portfolio.csv"),
+                      "--out", str(tmp_path / "p.csv")],
+            "config": ["simulate", "--config", str(nested), "--out", str(tmp_path / "s")],
+            "schema": ["train", "--data", str(sim / "portfolio.csv"), "--schema", str(nested),
+                       "--out", str(tmp_path / "m")],
+        }[which]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"{problem} {nested}" in err and "Traceback" not in err
 
 
 class TestCompareAndExport:

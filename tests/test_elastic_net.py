@@ -215,9 +215,15 @@ class TestElasticNet:
         rng = np.random.default_rng(12)
         for alpha in (0.0, 0.5, 1.0):
             Xs, yc = standardized_problem(rng, 50, 6)
-            res = coordinate_descent(Xs, yc, alpha=alpha, lam=0.01, record_objective=True)
-            diffs = np.diff(res.objectives)
-            assert (diffs <= 1e-12).all()
+            G, c = (Xs.T @ Xs)[None], (Xs.T @ yc)[None]
+            beta = np.zeros((1, 6))
+            objectives = [enet_objective(Xs, yc, beta[0], alpha, 0.01)]
+            for _ in range(CD_MAX_ITER):  # one sweep per kernel call, warm-started in place
+                _, converged = elastic_net._cd_kernel(G, c, [50], alpha, 0.01, beta, CD_TOL, 1)
+                objectives.append(enet_objective(Xs, yc, beta[0], alpha, 0.01))
+                if converged[0]:
+                    break
+            assert (np.diff(objectives) <= 1e-12).all()
 
     def test_kkt_certification(self):
         rng = np.random.default_rng(13)
@@ -245,12 +251,13 @@ class TestElasticNet:
             cd_J = enet_objective(Xs, yc, res.beta, alpha, lam)
             assert abs(cd_J - grid_J) <= 1e-3
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
         rng = np.random.default_rng(15)
         Xs, yc = standardized_problem(rng, 40, 5)
-        with pytest.warns(RuntimeWarning, match="did not converge"):
+        monkeypatch.setattr(elastic_net, "CD_MAX_ITER", 1)
+        with pytest.warns(RuntimeWarning, match="did not converge in 1 sweeps"):
             fit = fit_elastic_net(
-                rng.normal(size=(40, 5)), yc + 1.0, PenaltySpec(alpha=0.3, lam=1e-9), max_iter=1
+                rng.normal(size=(40, 5)), yc + 1.0, PenaltySpec(alpha=0.3, lam=1e-9)
             )
         assert not fit.converged
 

@@ -296,25 +296,24 @@ class TestGridSearch:
 
 class TestRescaling:
     def test_best_gets_100_worst_gets_0(self):
-        scaled, tied = rescale({"a": 1.0, "b": 3.0, "c": 2.0}, higher_better=True)
-        assert not tied
+        scaled = rescale({"a": 1.0, "b": 3.0, "c": 2.0}, higher_better=True)
         assert scaled == {"a": 0.0, "b": 100.0, "c": 50.0}
 
     def test_lower_better_orientation(self):
-        scaled, _ = rescale({"a": 1.0, "b": 3.0}, higher_better=False)
+        scaled = rescale({"a": 1.0, "b": 3.0}, higher_better=False)
         assert scaled == {"a": 100.0, "b": 0.0}
 
     def test_mpe_uses_absolute_value(self):
-        scaled, _ = rescale({"a": -0.1, "b": 0.5}, higher_better=False, by_abs=True)
+        scaled = rescale({"a": -0.1, "b": 0.5}, higher_better=False, by_abs=True)
         assert scaled["a"] == 100.0 and scaled["b"] == 0.0
 
     def test_tie_everyone_scores_100(self):
-        scaled, tied = rescale({"a": 2.0, "b": 2.0}, higher_better=True)
-        assert tied and set(scaled.values()) == {100.0}
+        scaled = rescale({"a": 2.0, "b": 2.0}, higher_better=True)
+        assert scaled == {"a": 100.0, "b": 100.0}
 
     def test_idempotent(self):
-        scaled, _ = rescale({"a": 10.0, "b": 30.0, "c": 20.0}, higher_better=True)
-        again, _ = rescale(scaled, higher_better=True)
+        scaled = rescale({"a": 10.0, "b": 30.0, "c": 20.0}, higher_better=True)
+        again = rescale(scaled, higher_better=True)
         assert again == scaled
 
 
@@ -403,7 +402,7 @@ class TestGrowOncePerFold:
     def test_cells_equal_separate_kfold_runs(self, ds):
         grid = {"cp": [1e-4, 5e-3], "maxdepth": [6, 10, 8], "minsplit": [4, 20]}
         result = grid_search(ds, grid, k=3, seed=2, learner_factory=self.ols_factory)
-        separate = [kfold_cv(ds, self.ols_factory(c.params), k=3, seed=2, params=c.params)
+        separate = [replace(kfold_cv(ds, self.ols_factory(c.params), k=3, seed=2), params=c.params)
                     for c in result.cells]
         assert [c.params["maxdepth"] for c in result.cells[:3]] == [6, 6, 10]  # grid order
         assert result.cells == separate
@@ -457,5 +456,5 @@ class TestGrowOncePerFold:
         result = grid_search(ds, {"maxdepth": [8, 10]}, k=3, seed=0, learner_factory=factory)
         assert len(calls) == 3
         assert [f.split(":")[0] for f in result.cells[1].failures] == ["fold 0", "fold 1", "fold 2"]
-        assert result.cells[0] == kfold_cv(ds, self.ols_factory({"maxdepth": 8}), k=3, seed=0,
-                                           params={"maxdepth": 8})
+        alone = kfold_cv(ds, self.ols_factory({"maxdepth": 8}), k=3, seed=0)
+        assert result.cells[0] == replace(alone, params={"maxdepth": 8})

@@ -42,7 +42,7 @@ def manual_linear_model():
     """Root-only model with the coefficient set used in the worked example."""
     names = ["CoverageBC", "lnDeductBC", "NoClaimCreditBC"]
     tree = Tree(
-        nodes={1: TreeNode(id=1, depth=0, n_node=100, n_positive=80)},
+        nodes={1: TreeNode(id=1, n_node=100, n_positive=80)},
         feature_names=names,
         hyperparams=TreeHyperparams(),
     )
@@ -57,7 +57,6 @@ def manual_linear_model():
         node_models={1: NodeModel(kind="linear", fit=lf, feature_idx=np.array([0, 1, 2]))},
         hyperparams=HybridHyperparams(),
         schema=schema,
-        encoded_features=names,
     )
 
 
