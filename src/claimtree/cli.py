@@ -16,6 +16,8 @@ from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     Column, DataError, Dataset, json_text, load_csv, load_schema, require_int, save_csv, save_schema,
@@ -373,7 +375,7 @@ def cmd_predict(args) -> int:
     out = _check_out_file(args.out, args.force)
     terminal_of, raw, clipped = predict_batch(model, ds)
     header = ["row", "terminal_id", "raw", "clipped"]
-    write_csv(out, header, zip(range(ds.n), terminal_of.tolist(), raw.tolist(), clipped.tolist()))
+    write_csv(out, header, [np.arange(ds.n), terminal_of, raw, clipped])
     print(f"wrote {out} ({ds.n} predictions)")
     return 0
 

@@ -9,8 +9,10 @@ in one float64 matrix.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -253,34 +255,18 @@ def load_csv(path, schema) -> Dataset:
     name the data row (1-based) and column. A number is what ``float``
     reads, except the Python literal forms with ``_`` (``1_000``), which no
     CSV writer produces.
+
+    A file that passes a byte pre-scan (see :func:`_count_lines`) is read by
+    numpy's C text reader, which parses numbers with the same routine as
+    ``float``. Any other file, any exception from that reader and any row
+    count that differs from the pre-scan's (numpy skips blank lines) hand
+    the file to the cell-by-cell reader, which alone decides the values or
+    the error.
     """
     schema = validate_schema(schema)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        rules = []  # (header position, cell parser) per schema column
-        for col in schema:
-            if col.name not in header:
-                raise DataError(f"{path}: missing column {col.name!r}")
-            # "" is never looked up as a label, so an empty cell fails either parser
-            labels = {label: i for i, label in enumerate(col.categories or ()) if label}
-            rules.append((header.index(col.name), labels.__getitem__ if col.categories else float))
-        # float reads "1_000" as 1000.0. One search of the whole record finds
-        # any "_"; only then are its numeric cells searched, as labels and
-        # columns outside the schema may hold "_".
-        numeric_cells = itemgetter(*(pos for col, (pos, _) in zip(schema, rules) if not col.categories))
-        rows = []
-        for r, record in enumerate(reader, start=1):
-            try:
-                if "_" in "".join(record) and "_" in "".join(numeric_cells(record)):
-                    raise ValueError("underscore in a number")
-                rows.append(np.array([parse(record[pos].strip()) for pos, parse in rules], dtype=float))
-            except (IndexError, KeyError, ValueError):
-                raise _row_error(path, r, record, schema, rules) from None
-    values = np.array(rows, dtype=float) if rows else np.empty((0, len(schema)))
+    values = _read_fast(path, schema)
+    if values is None:
+        values = _read_cells(path, schema)
     finite = np.isfinite(values)
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
@@ -297,6 +283,98 @@ def load_csv(path, schema) -> Dataset:
     return Dataset(schema, values)
 
 
+# Bytes the pre-scan reads at a time, so it never holds the whole text.
+SCAN_CHUNK = 1 << 16
+
+
+def _count_lines(path) -> int | None:
+    """The file's line count if csv.reader and np.loadtxt split it alike, else None.
+
+    They do when the bytes hold no quote, no NUL and no carriage return
+    outside a CRLF pair, and no line is longer than the csv module's field
+    size limit (so no field can exceed it).
+    """
+    breaks = line = longest = 0  # line: bytes of the line still open at the chunk's end
+    carry = b""  # a chunk's final \r, whose \n may open the next chunk
+    with open(path, "rb") as fh:
+        while chunk := fh.read(SCAN_CHUNK):
+            chunk = carry + chunk
+            carry = chunk[-1:] if chunk.endswith(b"\r") else b""
+            chunk = chunk[: len(chunk) - len(carry)]
+            if b'"' in chunk or b"\0" in chunk or chunk.count(b"\r") != chunk.count(b"\r\n"):
+                return None
+            parts = chunk.split(b"\n")
+            line += len(parts[0])
+            if len(parts) > 1:
+                longest = max(longest, line, max(map(len, parts[1:-1]), default=0))
+                line = len(parts[-1])
+            breaks += len(parts) - 1
+    if carry or max(longest, line) > csv.field_size_limit():
+        return None
+    return breaks + (line > 0)
+
+
+def _label_index(col: Column) -> dict:
+    # "" is never looked up as a label, so an empty cell is a missing value
+    return {label: i for i, label in enumerate(col.categories) if label}
+
+
+def _read_fast(path, schema) -> np.ndarray | None:
+    """The values of a file read by ``np.loadtxt``, or None when the
+    cell-by-cell reader must decide."""
+    lines = _count_lines(path)
+    if not lines:
+        return None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+            usecols = [header.index(col.name) for col in schema]
+            converters = {
+                pos: (lambda cell, index=_label_index(col): index[cell.strip()])
+                for pos, col in zip(usecols, schema) if col.categories
+            }
+            with warnings.catch_warnings():
+                # with no data rows numpy warns "input contained no data"; the
+                # shape check below decides what such a file holds
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(
+                    fh, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2,
+                    converters=converters, encoding="utf-8",
+                )
+        except Exception:  # whatever failed, the cell-by-cell reader decides
+            return None
+    return values if values.shape == (lines - 1, len(schema)) else None
+
+
+def _read_cells(path, schema) -> np.ndarray:
+    """The values of every data row, parsed cell by cell; raises the
+    DataError naming the first bad row, or the header's missing column."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        rules = []  # (header position, cell parser) per schema column
+        for col in schema:
+            if col.name not in header:
+                raise DataError(f"{path}: missing column {col.name!r}")
+            rules.append((header.index(col.name), _label_index(col).__getitem__ if col.categories else float))
+        # float reads "1_000" as 1000.0. One search of the whole record finds
+        # any "_"; only then are its numeric cells searched, as labels and
+        # columns outside the schema may hold "_".
+        numeric_cells = itemgetter(*(pos for col, (pos, _) in zip(schema, rules) if not col.categories))
+        rows = []
+        for r, record in enumerate(reader, start=1):
+            try:
+                if "_" in "".join(record) and "_" in "".join(numeric_cells(record)):
+                    raise ValueError("underscore in a number")
+                rows.append(np.array([parse(record[pos].strip()) for pos, parse in rules], dtype=float))
+            except (IndexError, KeyError, ValueError):
+                raise _row_error(path, r, record, schema, rules) from None
+    return np.array(rows, dtype=float) if rows else np.empty((0, len(schema)))
+
+
 def _row_error(path, r, record, schema, rules) -> DataError:
     """The error for the first bad cell, in schema order, of a row that failed to parse."""
     for col, (pos, parse) in zip(schema, rules):
@@ -311,20 +389,50 @@ def _row_error(path, r, record, schema, rules) -> DataError:
             return DataError(f"{path}: row {r}, column {col.name!r}: {problem}")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write the header, then each of the rows, in the csv module's default dialect."""
+# Rows formatted and written per block by write_csv. 1024-row blocks raised
+# the CLI chain's peak memory; 256-row blocks kept it down and wrote no slower.
+WRITE_BLOCK = 256
+
+
+def write_csv(path, header, columns, labels=None) -> None:
+    """Write the header, then one row per entry of the 1-D arrays ``columns``,
+    with the bytes ``csv.writer`` writes in its default dialect.
+
+    A cell is the ``repr`` of its Python value (``tolist``), or, in a column
+    whose ``labels`` entry is a tuple of labels, the label its value indexes.
+    Each label is quoted once, before the rows. The rows go out in blocks of
+    ``WRITE_BLOCK``, each formatted column by column and joined once, so no
+    second copy of the table is held.
+    """
+    width = len(columns)
+    texts = [
+        None if lab is None else [_field_text(label, width) for label in lab]
+        for lab in labels or [None] * width
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), WRITE_BLOCK):
+            block = slice(start, start + WRITE_BLOCK)
+            cells = [
+                map(repr, col[block].tolist()) if text is None
+                else map(text.__getitem__, col[block].astype(np.intp).tolist())
+                for col, text in zip(columns, texts)
+            ]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+
+
+def _field_text(value: str, width: int) -> str:
+    """``value`` as csv.writer writes it in a row of ``width`` fields (alone in
+    its row, an empty field is written as ``""``)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""] if width > 1 else [value])
+    return buf.getvalue().removesuffix(",\r\n" if width > 1 else "\r\n")
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV; categorical indices become labels. Rows are
-    formatted one at a time, so no second copy of the table is held."""
-    fmt = [(lambda v, labels=c.categories: labels[int(v)]) if c.categories else repr for c in ds.columns]
-    rows = ([f(v) for f, v in zip(fmt, row)] for row in map(np.ndarray.tolist, ds.values))
-    write_csv(path, [c.name for c in ds.columns], rows)
+    """Write a Dataset to CSV through :func:`write_csv`; categorical indices
+    become their labels."""
+    write_csv(path, [c.name for c in ds.columns], list(ds.values.T), [c.categories for c in ds.columns])
 
 
 def _encoding(columns: tuple[Column, ...]):

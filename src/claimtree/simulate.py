@@ -66,6 +66,9 @@ class SimConfig:
             require_real(noise_sd=self.noise_sd)
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        for name in ("p_continuous", "p_categorical"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 1.0 < self.power < 2.0:
             raise ValueError("power must lie strictly between 1 and 2")
         if self.phi <= 0:

@@ -489,13 +489,16 @@ class TestTune:
 
 
 class TestSettingTypes:
-    """A config file value of the wrong type is a validation error naming the field."""
+    """A config file value of the wrong type or sign is a validation error naming the field."""
 
     @pytest.mark.parametrize("cfg, name", [
         ({"n": 50.5}, "n"), ({"n": True}, "n"), ({"seed": 1.0}, "seed"),
         ({"p_continuous": "3"}, "p_continuous"), ({"p_categorical": False}, "p_categorical"),
         ({"rho": True}, "rho"), ({"power": "1.5"}, "power"), ({"phi": None}, "phi"),
         ({"noise_sd": True}, "noise_sd"),
+        ({"n": 20, "p_continuous": -1, "p_categorical": 2,
+          "beta_poisson": [0.0, 0.1], "beta_gamma": [0.0, 0.1]}, "p_continuous"),
+        ({"p_categorical": -3}, "p_categorical"),
     ])
     def test_simulate_config(self, tmp_path, capsys, cfg, name):
         cfg_file = tmp_path / "cfg.json"

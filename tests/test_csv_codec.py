@@ -17,8 +17,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from claimtree import data  # noqa: E402
 from claimtree.cli import main  # noqa: E402
-from claimtree.data import Column, DataError, Dataset, load_csv, save_csv  # noqa: E402
+from claimtree.data import (  # noqa: E402
+    SCAN_CHUNK, Column, DataError, Dataset, load_csv, save_csv, write_csv,
+)
 from claimtree.hybrid import HybridHyperparams, fit, predict_batch, save  # noqa: E402
 from claimtree.simulate import SimConfig, simulate  # noqa: E402
 
@@ -143,7 +146,28 @@ BATTERY = {
     "negative response": "x1,c,y\n1.0,lo,-1\n",
     "CRLF line ends": "x1,c,y\r\n1.0,lo,0\r\n",
     "underscored number": "x1,c,y\n1_000,lo,0\n",
+    "lone CR line ends": "x1,c,y\r1.0,lo,0\r-2.5,hi,3\r",
+    "trailing blank line": "x1,c,y\n1.0,lo,0\n\n",
+    "trailing blank CRLF line": "x1,c,y\r\n1.0,lo,0\r\n\r\n",
+    "quoted cell holding a newline": 'x1,c,y,note\n"1.0\n",lo,0,"a\nb"\n',
+    "quoted newline spanning a row's worth of cells": 'x1,c,y,note\n1.0,lo,0,"a\n2.0,hi,1,b"\n',
+    "hash inside a cell": "x1,c,y,note\n1.0,lo,0,#x\n#2,lo,1,y\n",
+    "plus sign": "x1,c,y\n+1,lo,+2.5\n",
+    "Infinity": "x1,c,y\n1.0,lo,Infinity\n",
+    "Arabic-Indic digit": "x1,c,y\n\u0661,lo,0\n",
+    "row longer than the header": "x1,c,y\n1.0,lo,0,extra\n2.0,hi,1\n",
+    "no final newline": "x1,c,y\n1.0,lo,0\n2.0,hi,1",
 }
+
+
+def chunk_spanning_text(blank_line: bool) -> str:
+    """CRLF rows over more than one pre-scan chunk, with the chunk boundary
+    between the \\r and the \\n of one row; a blank line follows if asked."""
+    head = "x1,c,y\r\n" + "1.5,mid,2\r\n" * (SCAN_CHUNK // 11 - 2)
+    filler = "3,lo,0" + " " * (SCAN_CHUNK - 1 - len(head) - len("3,lo,0"))
+    text = head + filler + "\r\n" + "\r\n" * blank_line + "4.5,hi,1\r\n" * 20
+    assert text.encode("utf-8")[SCAN_CHUNK - 1:SCAN_CHUNK + 1] == b"\r\n"
+    return text
 
 
 class TestBattery:
@@ -176,12 +200,65 @@ class TestBattery:
         f.write_text("c,y,note\na_b,1,x_y\n", encoding="utf-8")
         assert load_csv(f, schema).values.tolist() == [[0.0, 1.0]]
 
+    @pytest.mark.parametrize("blank_line", [False, True])
+    def test_file_over_one_scan_chunk(self, tmp_path, blank_line):
+        f = tmp_path / "d.csv"
+        f.write_text(chunk_spanning_text(blank_line), encoding="utf-8", newline="")
+        kind = assert_same_load(f, SCHEMA)[0]
+        assert (kind == "error") == blank_line
+
     def test_round_trip_writes_identical_bytes(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(BATTERY["well formed"], encoding="utf-8")
         ds = load_csv(f, SCHEMA)
         save_csv(ds, tmp_path / "new.csv")
         reference_save_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_written_files_load_without_the_cell_by_cell_reader(tmp_path, monkeypatch):
+    """What save_csv and predict write takes the np.loadtxt path; a change
+    that always fell back would pass every other test."""
+    rng = np.random.default_rng(5)
+    columns = (
+        Column("x1", "continuous"), Column("c", "categorical", ("lo", "mid", "a_b", "#")),
+        Column("k", "count"), Column("y", "response"),
+    )
+    values = np.column_stack([
+        rng.normal(size=500) * 10.0 ** rng.integers(-20, 20, size=500),
+        rng.integers(0, 4, size=500), rng.integers(0, 3, size=500), rng.exponential(size=500),
+    ])
+    ds = Dataset(columns, values)
+    save_csv(ds, tmp_path / "d.csv")
+    (tmp_path / "chunks.csv").write_text(chunk_spanning_text(False), encoding="utf-8", newline="")
+    expected = reference_load_csv(tmp_path / "chunks.csv", SCHEMA).values
+
+    def fail(path, schema):
+        raise AssertionError(f"{path} fell back to the cell-by-cell reader")
+
+    monkeypatch.setattr(data, "_read_cells", fail)
+    assert load_csv(tmp_path / "d.csv", columns).values.tobytes() == ds.values.tobytes()
+    assert load_csv(tmp_path / "chunks.csv", SCHEMA).values.tobytes() == expected.tobytes()
+    model = fit(ds, HybridHyperparams(maxdepth=2, severity_learner="ols"))
+    save(model, tmp_path / "model.json")
+    assert main([
+        "predict", "--model", str(tmp_path / "model.json"),
+        "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "p.csv"),
+    ]) == 0
+    clipped = predict_batch(model, ds)[2]
+    loaded = load_csv(tmp_path / "p.csv", (Column("clipped", "response"),)).response
+    assert loaded.tobytes() == clipped.tobytes()
+
+
+def test_write_csv_quotes_as_csv_writer(tmp_path):
+    labels = ("", "a,b", 'q"', "x\ry", " s ")
+    codes = np.arange(len(labels))
+    for columns in ([codes], [codes, codes * 0.5]):
+        write_csv(tmp_path / "new.csv", ["h"] * len(columns), columns, [labels] + [None] * (len(columns) - 1))
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["h"] * len(columns))
+            writer.writerows(zip(labels, codes * 0.5) if len(columns) > 1 else ((label,) for label in labels))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -199,7 +276,10 @@ def test_predict_writes_the_reference_bytes(tmp_path):
 
 
 LABELS = st.sampled_from(["", "0", "1.5", "a", " b", "a,b", 'q"', "a_b"]) | st.text(alphabet='ab ,"z0\t', max_size=3)
-CELLS = ["", " ", "0", "1", " 2.5 ", "-3e2", "1_0", "nan", "-inf", "1e400", "abc", "a", " b ", "a,b"]
+CELLS = [
+    "", " ", "0", "1", " 2.5 ", "-3e2", "1_0", "nan", "-inf", "1e400", "abc", "a", " b ", "a,b",
+    "\r", "#1", "\u0661",
+]
 
 
 @st.composite
