@@ -1,9 +1,9 @@
 """Binary classification tree for claim occurrence.
 
 Recursive binary splitting on the weighted-impurity criterion, cost-complexity
-pruning on misclassification loss in one bottom-up pass, routing, variable
-importance and DOT export. Node ids follow the heap convention: root is 1,
-the children of node m are 2m and 2m+1.
+pruning on misclassification loss in one bottom-up pass, routing through
+one flat node table, variable importance and DOT export. Node ids follow
+the heap convention: root is 1, the children of node m are 2m and 2m+1.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,12 @@ class Tree:
     def depth(self) -> int:
         return max(nd.depth for nd in self.nodes.values())
 
+    @cached_property
+    def routing(self) -> RoutingTable:
+        """The flat routing table, built on first use: a tree is not changed
+        after growth (prune and truncate return new trees)."""
+        return RoutingTable(self)
+
     def classify(self, x: np.ndarray) -> tuple[int, int]:
         """Route one feature row to its terminal; returns (node id, beta_f)."""
         x = np.asarray(x, dtype=float)
@@ -148,11 +155,12 @@ class Tree:
             raise ValueError(
                 f"expected {len(self.feature_names)} feature values, got {x.shape}"
             )
-        node = self.root
-        while not node.is_terminal:
-            child = 2 * node.id if x[node.split.feature] < node.split.threshold else 2 * node.id + 1
-            node = self.nodes[child]
-        return node.id, node.beta_f
+        t = self.routing
+        feature, threshold, left, right = t.feature_list, t.threshold_list, t.left_list, t.right_list
+        k = 0
+        while (f := feature[k]) >= 0:
+            k = left[k] if x[f] < threshold[k] else right[k]
+        return t.node_id_list[k], t.beta_f_list[k]
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Terminal node id for every row of X."""
@@ -161,25 +169,74 @@ class Tree:
             raise ValueError(
                 f"expected {len(self.feature_names)} feature values per row, got shape {X.shape}"
             )
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(1, np.arange(X.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = self.nodes[nid]
-            if node.is_terminal:
-                out[idx] = nid
-                continue
-            left = X[idx, node.split.feature] < node.split.threshold
-            stack.append((2 * nid, idx[left]))
-            stack.append((2 * nid + 1, idx[~left]))
-        return out
+        return self.routing.node_id.take(self.routing.route(X))
 
     def training_misclassification(self) -> float:
         """Share of training rows misclassified by the terminal majority votes."""
         total = sum(self.nodes[t].misclassified for t in self.terminal_ids())
         return total / self.root.n_node
+
+
+class RoutingTable:
+    """A tree flattened for routing: one entry per node, by compact position.
+
+    The root sits at position 0 and the rest follow breadth-first, so the
+    table's size is the node count whatever the heap ids (which reach 2**31
+    at ``MAX_DEPTH``). Per position it holds the split feature (-1 at a
+    terminal), the threshold, both children, the heap id and beta_f. The
+    children sit in ``child`` at ``2k + 1`` (left) and ``2k`` (right), and
+    a terminal's are itself, so a row at k moves to
+    ``child[2k + (x[feature[k]] < threshold[k])]``; ``depth`` such steps
+    take every row to its terminal. A NaN compares False and goes right.
+    The single-row walk reads the same columns as plain lists.
+    """
+
+    def __init__(self, tree: Tree):
+        ids = [1]
+        feature, threshold, left, right = [], [], [], []
+        for k, nid in enumerate(ids):  # ids grows as it is walked: breadth-first
+            split = tree.nodes[nid].split
+            if split is None:
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(k)
+                right.append(k)
+            else:
+                feature.append(split.feature)
+                threshold.append(split.threshold)
+                left.append(len(ids))
+                right.append(len(ids) + 1)
+                ids += [2 * nid, 2 * nid + 1]
+        self.feature_list, self.threshold_list = feature, threshold
+        self.left_list, self.right_list = left, right
+        self.node_id_list = ids
+        self.beta_f_list = [tree.nodes[nid].beta_f for nid in ids]
+        self.depth = max(ids).bit_length() - 1
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.child = np.column_stack([right, left]).astype(np.intp).ravel()
+        self.node_id = np.array(ids, dtype=np.int64)
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Position of the terminal that each row of the 2-D float X reaches."""
+        n, p = X.shape
+        # Cell (r, j) of X is flat[r * row_step + j * col_step]. For an F- or
+        # C-ordered X (feature_matrix gives F order) the ravel is a view, so
+        # only a batch in neither order is copied. A terminal's feature -1
+        # reads some valid cell, and both its children are itself.
+        if X.flags.f_contiguous:
+            flat, row_step, col_step = X.ravel(order="F"), 1, n
+        else:
+            flat, row_step, col_step = X.ravel(), p, 1
+        rows = np.arange(n, dtype=np.intp) * row_step
+        k = np.zeros(n, dtype=np.intp)
+        for _ in range(self.depth):
+            cell = self.feature.take(k)
+            cell *= col_step
+            cell += rows
+            go_left = flat.take(cell) < self.threshold.take(k)
+            k = self.child.take(2 * k + go_left)
+        return k
 
 
 def best_split(X: np.ndarray, y: np.ndarray, impurity: str = "gini") -> SplitRule | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -346,11 +347,26 @@ def _read_fast(path, schema) -> np.ndarray | None:
     return values if values.shape == (lines - 1, len(schema)) else None
 
 
+def _records(path, fh):
+    """csv.reader's records of fh. A record the csv module rejects (a field
+    over ``csv.field_size_limit()``, or NUL on Python 3.10) raises the
+    DataError naming its row; row 0 is the header."""
+    reader = csv.reader(fh)
+    for r in itertools.count():
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path}: {f'row {r}' if r else 'header row'}: {exc}") from None
+        yield record
+
+
 def _read_cells(path, schema) -> np.ndarray:
     """The values of every data row, parsed cell by cell; raises the
     DataError naming the first bad row, or the header's missing column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -472,8 +488,9 @@ def encode_categoricals(ds: Dataset) -> Dataset:
 
 
 def feature_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Encoded feature matrix (a fresh array) and its column names; every
-    encoded column is continuous, so response and count drop out."""
+    """Encoded feature matrix (a fresh, Fortran-ordered array) and its
+    column names; every encoded column is continuous, so response and count
+    drop out."""
     entries = [e for e in _encoding(ds.columns) if e[0].kind == "continuous"]
     return _encoded_values(ds, entries), [col.name for col, _, _ in entries]
 

@@ -236,14 +236,18 @@ def predict_batch(model: HybridModel, ds: Dataset):
             f"(expected {model.encoded_features}, got {names})"
         )
     terminal_of = model.tree.classify_batch(X)
-    raw = np.zeros(ds.n)
-    for tid in model.tree.terminal_ids():
-        nm = model.node_models[tid]
-        if nm.kind == "zero":
-            continue
-        rows = np.nonzero(terminal_of == tid)[0]
-        if rows.size:
-            raw[rows] = nm.predict(X[rows])
+    terminals = model.tree.terminal_ids()
+    node_models = [model.node_models[tid] for tid in terminals]
+    # Each row's slot in the sorted terminal ids: zero and mean terminals
+    # then fill by one gather of their values, and only linear ones need rows.
+    slot = np.searchsorted(terminals, terminal_of)
+    values = [nm.value if nm.kind == "mean" else 0.0 for nm in node_models]
+    raw = np.array(values, dtype=float).take(slot)
+    for j, nm in enumerate(node_models):
+        if nm.kind == "linear":
+            rows = np.flatnonzero(slot == j)
+            if rows.size:
+                raw[rows] = nm.predict(X[rows])
     return terminal_of, raw, np.maximum(raw, 0.0)
 
 
@@ -253,8 +257,9 @@ def predict(model: HybridModel, x: np.ndarray) -> float:
     nm = model.node_models[model.tree.classify(x)[0]]
     if nm.kind == "zero":
         return 0.0
-    value = float(nm.predict(x[None, :])[0])
-    return max(value, 0.0)
+    if nm.kind == "mean":
+        return max(float(nm.value), 0.0)
+    return max(float(nm.predict(x[None, :])[0]), 0.0)
 
 
 def coefficient_report(model: HybridModel) -> dict[int, dict[str, float]]:

@@ -3,7 +3,8 @@
 The split-search and pruning tests check the implementation against
 independent exhaustive enumerations (every candidate split; every pruned
 subtree), against the feature-at-a-time split search and against the
-round-by-round weakest-link loop, which must agree exactly.
+round-by-round weakest-link loop, which must agree exactly. Routing is
+checked against the stack router that walked the node dict.
 """
 
 import hashlib
@@ -174,6 +175,26 @@ def weakest_link_prune(tree, alpha):
             if nid in nodes and not nodes[nid].is_terminal:
                 collapse(nid)
     return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=tree.hyperparams)
+
+
+def reference_classify_batch(tree, X):
+    """Stack router over the node dict: each visited node splits its rows
+    into the two children's index arrays, and a terminal claims its rows."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(1, np.arange(X.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        node = tree.nodes[nid]
+        if node.is_terminal:
+            out[idx] = nid
+            continue
+        left = X[idx, node.split.feature] < node.split.threshold
+        stack.append((2 * nid, idx[left]))
+        stack.append((2 * nid + 1, idx[~left]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +739,47 @@ class TestClassify:
         assert set(np.unique(assigned)) <= terminals
         singles = np.array([tree.classify(row)[0] for row in fresh])
         np.testing.assert_array_equal(assigned, singles)
+
+    def test_matches_reference_router_on_a_portfolio(self):
+        ds = simulate(SimConfig(n=3000, seed=7)).dataset
+        tree = grow(ds, TreeHyperparams(maxdepth=12))
+        X = feature_matrix(simulate(SimConfig(n=2000, seed=8)).dataset)[0]
+        X[::7, ::3] = np.nan
+        X[1::7, ::2] = np.inf
+        X[2::7, 1::2] = -np.inf
+        want = reference_classify_batch(tree, X)
+        assert len(set(want.tolist())) > 20
+        # feature_matrix's F order, C order and strided views route alike
+        wide = np.column_stack([X, X])
+        for batch in (X, np.ascontiguousarray(X), wide[:, :X.shape[1]], wide[:, X.shape[1]:]):
+            np.testing.assert_array_equal(tree.classify_batch(batch), want)
+        np.testing.assert_array_equal(tree.classify_batch(X[::-3]), want[::-3])
+        assert [tree.classify(row) for row in X[:300]] == [
+            (int(nid), tree.nodes[nid].beta_f) for nid in want[:300]
+        ]
+
+    def test_nan_goes_right(self):
+        tree = random_tree(np.random.default_rng(3), maxdepth=6)
+        nid = 1
+        while not tree.nodes[nid].is_terminal:
+            nid = 2 * nid + 1
+        nan_rows = np.full((2, 3), np.nan)
+        np.testing.assert_array_equal(tree.classify_batch(nan_rows), [nid, nid])
+        assert tree.classify(nan_rows[0])[0] == nid
+
+    def test_routing_table_is_not_a_tree_field(self):
+        tree = random_tree(np.random.default_rng(4), maxdepth=6)
+        X = np.random.default_rng(5).normal(size=(200, 3))
+        tree.classify_batch(X)  # builds the table
+        assert tree == replace(tree) and "routing" not in tree_to_dict(tree)
+        cut = truncate(tree, replace(tree.hyperparams, maxdepth=2))
+        assert cut.depth() == 2
+        np.testing.assert_array_equal(cut.classify_batch(X), reference_classify_batch(cut, X))
+
+    def test_empty_batch(self):
+        tree = random_tree(np.random.default_rng(6))
+        out = tree.classify_batch(np.empty((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.int64
 
     def test_wrong_width_errors(self):
         tree = grow(make_dataset(np.arange(4.0)[:, None], [0, 0, 1, 1]))

@@ -361,6 +361,20 @@ class TestEvaluate:
         assert f"{pred}: row 3, column 'clipped': {problem}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_over_the_csv_size_limit_is_data_error(self, portfolio, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("clipped,note\n1.0,a\n2.0," + "x" * 200_000 + "\n", encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        code = main([
+            "evaluate", "--predictions", str(pred),
+            "--actuals", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{pred}: row 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predictions_without_clipped_column_rejected(self, portfolio, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         pred.write_text("row,terminal_id,raw\n0,1,1.0\n", encoding="utf-8")

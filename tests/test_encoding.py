@@ -72,6 +72,7 @@ def test_feature_matrix_matches_reference(ds):
 
     assert names == [ref_cols[i].name for i in keep]
     assert X.dtype == np.float64 and X.shape == X_ref.shape
+    assert X.flags.f_contiguous  # as documented; routing gathers from it without a copy
     assert X.tobytes() == X_ref.tobytes()
     assert ds.p == X.shape[1]
 

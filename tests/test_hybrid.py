@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from claimtree.cart import Tree, TreeHyperparams, TreeNode, variable_importance
-from claimtree.data import Column, Dataset
+from claimtree.data import Column, Dataset, feature_matrix
 from claimtree.elastic_net import LinearFit
 from claimtree.hybrid import (
     HybridHyperparams,
@@ -252,8 +252,6 @@ class TestPredictBatch:
 
     def test_terminal_histogram_matches_classify(self):
         model, ds = self.make_fitted(8)
-        from claimtree.data import feature_matrix
-
         X, _ = feature_matrix(ds)
         tids, _, _ = predict_batch(model, ds)
         direct = model.tree.classify_batch(X)
@@ -267,6 +265,31 @@ class TestPredictBatch:
         )
         with pytest.raises(ValueError, match="features do not match"):
             predict_batch(model, wrong)
+
+
+class TestSingleRowAgainstBatch:
+    def test_every_terminal_kind(self, tmp_path):
+        """predict equals predict_batch bit for bit on zero and mean terminals
+        and within 1e-9 on linear ones (different summation order), on a
+        seed-7 OLS model and on the same model loaded back."""
+        model = fit(simulate(SimConfig(n=3000, seed=7)).dataset, HybridHyperparams(severity_learner="ols"))
+        ds = simulate(SimConfig(n=3000, seed=8)).dataset
+        X, _ = feature_matrix(ds)
+        tids, raw, clipped = predict_batch(model, ds)
+        kinds = np.array([model.node_models[t].kind for t in tids])
+        assert set(kinds) == {"zero", "mean", "linear"}
+        single = np.array([predict(model, x) for x in X])
+        exact = kinds != "linear"
+        np.testing.assert_array_equal(single[exact], clipped[exact])
+        np.testing.assert_allclose(single[~exact], clipped[~exact], rtol=1e-9, atol=1e-9)
+        assert [model.tree.classify(x)[0] for x in X] == tids.tolist()
+
+        save(model, tmp_path / "model.json")
+        back = load(tmp_path / "model.json")
+        back_tids, back_raw, _ = predict_batch(back, ds)
+        np.testing.assert_array_equal(back_tids, tids)
+        np.testing.assert_array_equal(back_raw, raw)
+        assert [predict(back, x) for x in X] == single.tolist()
 
 
 class TestSerialization:
