@@ -28,13 +28,11 @@ from .data import (  # noqa: F401
     DataError,
     Dataset,
     Standardization,
-    encode_categoricals,
     feature_matrix,
     load_csv,
     load_schema,
     save_csv,
     save_schema,
-    standardize,
 )
 from .elastic_net import (  # noqa: F401
     LinearFit,
@@ -42,7 +40,6 @@ from .elastic_net import (  # noqa: F401
     RankDeficiencyError,
     fit_elastic_net,
     fit_ols,
-    fit_ridge,
     lambda_path_cv,
     soft_threshold,
 )

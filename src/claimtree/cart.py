@@ -136,9 +136,6 @@ class Tree:
     def terminal_ids(self) -> list[int]:
         return sorted(nid for nid, nd in self.nodes.items() if nd.is_terminal)
 
-    def internal_ids(self) -> list[int]:
-        return sorted(nid for nid, nd in self.nodes.items() if not nd.is_terminal)
-
     def depth(self) -> int:
         return max(nd.depth for nd in self.nodes.values())
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .cart import to_dot
 from .data import (
     Column, DataError, Dataset, json_text, load_csv, load_schema, require_int, save_csv, save_schema,
     write_csv,
@@ -35,7 +36,6 @@ from .evaluate import (
 from .hybrid import (
     HybridHyperparams,
     ModelLoadError,
-    export_tree_dot,
     fit,
     format_coefficient_table,
     load,
@@ -289,10 +289,10 @@ def cmd_train(args) -> int:
     cfg = _load_config_file(args)
     hp = _from_flags(HybridHyperparams, args, cfg)
     seed = _resolve(args, cfg, "seed", 0)
-    ds = _load_dataset(args.data, args.schema)
     out = _prepare_out_dir(
         args.out, args.force, ["model.json", "fit_report.json", "coefficients.csv", "manifest.json"]
     )
+    ds = _load_dataset(args.data, args.schema)
     model = fit(ds, hp, seed=seed)
     save(model, out / "model.json")
     report = {
@@ -337,8 +337,8 @@ def cmd_tune(args) -> int:
         raise CliValidationError(str(exc)) from None
     if folds < 2:
         raise CliValidationError(f"folds must be >= 2, got {folds}")
-    ds = _load_dataset(args.data, args.schema)
     out = _prepare_out_dir(args.out, args.force, ["winner.json", "cv_table.csv", "manifest.json"])
+    ds = _load_dataset(args.data, args.schema)
 
     def factory(params: dict):
         try:
@@ -370,9 +370,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out = _check_out_file(args.out, args.force)
     model = load(args.model)
     ds = load_csv(args.data, model.schema)
-    out = _check_out_file(args.out, args.force)
     terminal_of, raw, clipped = predict_batch(model, ds)
     header = ["row", "terminal_id", "raw", "clipped"]
     write_csv(out, header, [np.arange(ds.n), terminal_of, raw, clipped])
@@ -381,13 +381,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = _check_out_file(args.out, args.force)
     predictions = load_csv(args.predictions, (Column("clipped", "response"),)).response
     ds = _load_dataset(args.actuals, args.schema)
     if predictions.shape[0] != ds.n:
         raise DataError(
             f"prediction count {predictions.shape[0]} does not match actuals ({ds.n} rows)"
         )
-    out = _check_out_file(args.out, args.force)
     report = compute_metrics(ds.response, predictions)
     _write_json(out, report.as_dict())
     print(f"wrote {out} (R^2 {report.r2:.4f}, RMSE {report.rmse:.6g})")
@@ -397,12 +397,17 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config_file(args)
     seed = _resolve(args, cfg, "seed", 0)
-    schema = load_schema(args.schema)
-    ds_train = load_csv(args.train, schema)
-    ds_test = load_csv(args.test, schema)
+    if len(args.models) + (0 if args.no_baselines else 2) < 2:
+        raise CliValidationError("need at least 2 models; pass --models or drop --no-baselines")
+    if not args.no_baselines:
+        base = _from_flags(HybridHyperparams, args, cfg)
+        mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
     out = _prepare_out_dir(
         args.out, args.force, ["comparison.csv", "comparison.svg", "manifest.json"]
     )
+    schema = load_schema(args.schema)
+    ds_train = load_csv(args.train, schema)
+    ds_test = load_csv(args.test, schema)
     models = []
     for path in args.models:
         stored = load(path)
@@ -410,12 +415,8 @@ def cmd_compare(args) -> int:
         models.append((name, lambda ds, m=stored: predict_batch(m, ds)[2]))
     if not args.no_baselines:
         models.append(("constant_mean", constant_mean_learner(ds_train)))
-        base = _from_flags(HybridHyperparams, args, cfg)
-        mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
         tree_model = fit(ds_train, mean_leaf_hp, seed=seed)
         models.append(("mean_leaf_tree", lambda ds, m=tree_model: predict_batch(m, ds)[2]))
-    if len(models) < 2:
-        raise CliValidationError("need at least 2 models; pass --models or drop --no-baselines")
     table = comparison_table(models, ds_train, ds_test)
     with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
         fh.write(table.to_csv())
@@ -432,10 +433,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_tree(args) -> int:
-    model = load(args.model)
     out = _check_out_file(args.out, args.force)
+    model = load(args.model)
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(export_tree_dot(model))
+        fh.write(to_dot(model.tree))
     print(f"wrote {out}")
     return 0
 

@@ -84,7 +84,7 @@ class Standardization:
     """Per-column affine transform: z = (x - center) / scale.
 
     After applying, each column has mean 0 and sum of squares 1 (not unit
-    variance). ``invert`` reproduces the original values exactly.
+    variance).
     """
 
     names: tuple[str, ...]
@@ -93,9 +93,6 @@ class Standardization:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (X - self.center) / self.scale
-
-    def invert(self, Z: np.ndarray) -> np.ndarray:
-        return Z * self.scale + self.center
 
     def to_dict(self) -> dict:
         return {
@@ -173,11 +170,7 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return sum(col.kind == "continuous" for col, _, _ in _encoding(self.columns))
-
-    @property
-    def feature_columns(self) -> tuple[Column, ...]:
-        return tuple(c for c in self.columns if c.kind in ("continuous", "categorical"))
+        return sum(1 for _ in _encoding(self.columns))
 
     @property
     def response_column(self) -> Column:
@@ -452,65 +445,34 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def _encoding(columns: tuple[Column, ...]):
-    """The one encoding rule, from the schema alone: yields a ``(column,
-    source index, level)`` entry per encoded column. A k-level categorical
-    gives k-1 indicators against its first category (two levels keep the
-    name, more become ``name=label``); other columns pass with level None.
+    """The one encoding rule, from the schema alone: yields a ``(name, source
+    index, level)`` entry per encoded feature. A continuous column passes
+    with level None; a k-level categorical gives k-1 indicators against its
+    first category (two levels keep the name, more become ``name=label``).
+    Response and count columns are not features.
     """
     for j, col in enumerate(columns):
-        if col.kind != "categorical":
-            yield col, j, None
-        elif len(col.categories) == 2:
-            yield Column(col.name, "continuous"), j, 1
-        else:
-            for level, label in enumerate(col.categories[1:], start=1):
-                yield Column(f"{col.name}={label}", "continuous"), j, level
-
-
-def _encoded_values(ds: Dataset, entries) -> np.ndarray:
-    # One gather copies every source column; indicators become == level.
-    out = ds.values[:, [j for _, j, _ in entries]]
-    for i, (_, _, level) in enumerate(entries):
-        if level is not None:
-            out[:, i] = out[:, i] == level
-    return out
-
-
-def encode_categoricals(ds: Dataset) -> Dataset:
-    """Dummy-encode categorical columns: k levels become k-1 indicators.
-
-    The first category is the reference level. Two-level columns keep their
-    name and 0/1 values; wider columns expand to ``name=label`` indicators.
-    Row count and order are preserved; response and count stay in place.
-    """
-    entries = list(_encoding(ds.columns))
-    return Dataset(tuple(col for col, _, _ in entries), _encoded_values(ds, entries))
+        if col.kind == "continuous":
+            yield col.name, j, None
+        elif col.kind == "categorical":
+            labels = col.categories[1:]
+            for level, label in enumerate(labels, start=1):
+                yield col.name if len(labels) == 1 else f"{col.name}={label}", j, level
 
 
 def feature_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
     """Encoded feature matrix (a fresh, Fortran-ordered array) and its
-    column names; every encoded column is continuous, so response and count
-    drop out."""
-    entries = [e for e in _encoding(ds.columns) if e[0].kind == "continuous"]
-    return _encoded_values(ds, entries), [col.name for col, _, _ in entries]
+    column names, in the order :func:`_encoding` gives."""
+    entries = list(_encoding(ds.columns))
+    # One gather copies every source column; indicators become == level.
+    X = ds.values[:, [j for _, j, _ in entries]]
+    for i, (_, _, level) in enumerate(entries):
+        if level is not None:
+            X[:, i] = X[:, i] == level
+    return X, [name for name, _, _ in entries]
 
 
 def nonconstant_columns(X: np.ndarray) -> np.ndarray:
     """Mask of the columns of X holding two or more distinct values (none with < 2 rows)."""
     return (X[1:] != X[:1]).any(axis=0)
 
-
-def standardize(ds: Dataset, columns: list[str]) -> tuple[Dataset, Standardization]:
-    """Standardize the named columns in place (mean 0, sum of squares 1)."""
-    idx = [ds._index(name) for name in columns]
-    for i in idx:
-        if ds.columns[i].kind != "continuous":
-            raise DataError(
-                f"standardize: column {ds.columns[i].name!r} is {ds.columns[i].kind}, "
-                "only continuous columns can be standardized"
-            )
-    sub = ds.values[:, idx]
-    Z, st = standardize_matrix(sub, names=list(columns))
-    out = ds.values.copy()
-    out[:, idx] = Z
-    return Dataset(ds.columns, out), st

@@ -91,12 +91,6 @@ class LinearFit:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.intercept + X @ self.coefficients
 
-    def standardized_coefficients(self) -> np.ndarray:
-        """Coefficients in the standardized design space."""
-        if self.standardization is None:
-            return self.coefficients.copy()
-        return self.coefficients * self.standardization.scale
-
 
 def soft_threshold(t: float, lam: float) -> float:
     """Minimizer of (b - t)^2 + lam |b|: shrink t by lam/2, truncate at 0."""
@@ -236,18 +230,6 @@ def coordinate_descent(
     return CDResult(beta=beta[0], converged=bool(converged[0]), sweeps=int(sweeps[0]))
 
 
-def _destandardized_fit(b_std, y_mean, st: Standardization, **kw) -> LinearFit:
-    coef = b_std / st.scale
-    intercept = float(y_mean - (b_std * st.center / st.scale).sum())
-    return LinearFit(
-        intercept=intercept,
-        coefficients=coef,
-        feature_names=list(st.names),
-        standardization=st,
-        **kw,
-    )
-
-
 def fit_ols(X, y, feature_names=None) -> LinearFit:
     """Ordinary least squares with an intercept.
 
@@ -273,27 +255,6 @@ def fit_ols(X, y, feature_names=None) -> LinearFit:
         coefficients=coef,
         feature_names=list(feature_names),
         converged=True,
-    )
-
-
-def fit_ridge(X, y, lam: float, feature_names=None) -> LinearFit:
-    """Ridge regression via the closed form (X'X + lam I)^-1 X'y.
-
-    Fitted on standardized columns and a centered response so the
-    intercept is unpenalized; ``lam`` multiplies the unnormalized squared
-    coefficient norm (see module docstring for the scale relation to
-    :func:`fit_elastic_net`).
-    """
-    if lam <= 0:
-        raise ValueError("lam must be > 0 for ridge")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(X.shape[1])]
-    Xs, st = standardize_matrix(X, list(feature_names))
-    b_std = ridge_closed_form(Xs, y - y.mean(), lam)
-    return _destandardized_fit(
-        b_std, y.mean(), st, penalty=PenaltySpec(alpha=0.0, lam=lam), converged=True
     )
 
 
@@ -327,10 +288,11 @@ def fit_elastic_net(
         warnings.warn(
             f"coordinate descent did not converge in {res.sweeps} sweeps", RuntimeWarning
         )
-    return _destandardized_fit(
-        res.beta,
-        y.mean(),
-        st,
+    return LinearFit(
+        intercept=float(y.mean() - (res.beta * st.center / st.scale).sum()),
+        coefficients=res.beta / st.scale,
+        feature_names=list(st.names),
+        standardization=st,
         penalty=PenaltySpec(alpha=penalty.alpha, lam=float(lam)),
         converged=res.converged,
         iterations=res.sweeps,

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cart import (
-    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, prune, reused_tree, to_dot, tree_from_dict,
-    tree_to_dict,
+    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, prune, reused_tree, tree_from_dict, tree_to_dict,
 )
 from .data import (
     Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, json_text,
@@ -125,11 +124,6 @@ class HybridModel:
     zero_fractions: dict[int, float] = field(default_factory=dict)
 
     @property
-    def encoded_features(self) -> list[str]:
-        """Names of the encoded feature columns, as the tree was grown on them."""
-        return self.tree.feature_names
-
-    @property
     def terminal_summaries(self) -> list[TerminalSummary]:
         """One row per terminal, in node-id order, from the tree and node models."""
         nodes = self.tree.nodes
@@ -230,10 +224,10 @@ def predict_batch(model: HybridModel, ds: Dataset):
     diagnostics; the claim prediction is the raw value floored at 0.
     """
     X, names = feature_matrix(ds)
-    if names != model.encoded_features:
+    if names != model.tree.feature_names:
         raise ValueError(
             "dataset features do not match the model "
-            f"(expected {model.encoded_features}, got {names})"
+            f"(expected {model.tree.feature_names}, got {names})"
         )
     terminal_of = model.tree.classify_batch(X)
     terminals = model.tree.terminal_ids()
@@ -289,7 +283,7 @@ def format_coefficient_table(model: HybridModel) -> str:
     """CSV rendering of :func:`coefficient_report` (blank = not selected)."""
     report = coefficient_report(model)
     tids = sorted(report)
-    rows = ["(Intercept)"] + model.encoded_features
+    rows = ["(Intercept)"] + model.tree.feature_names
     lines = ["term," + ",".join(f"node_{t}" for t in tids)]
     for feat in rows:
         if feat != "(Intercept)" and not any(feat in report[t] for t in tids):
@@ -297,10 +291,6 @@ def format_coefficient_table(model: HybridModel) -> str:
         cells = [repr(report[t][feat]) if feat in report[t] else "" for t in tids]
         lines.append(",".join([feat] + cells))
     return "\n".join(lines) + "\n"
-
-
-def export_tree_dot(model: HybridModel) -> str:
-    return to_dot(model.tree)
 
 
 def _node_model_to_dict(nm: NodeModel) -> dict:
@@ -324,7 +314,7 @@ def _node_model_to_dict(nm: NodeModel) -> dict:
     }
 
 
-def _node_model_from_dict(d: dict, n_features: int) -> NodeModel:
+def _node_model_from_dict(d: dict, encoded: list[str]) -> NodeModel:
     if d["kind"] == "zero":
         return NodeModel(kind="zero")
     if d["kind"] == "mean":
@@ -336,14 +326,17 @@ def _node_model_from_dict(d: dict, n_features: int) -> NodeModel:
     require_real(intercept=d["intercept"], **{f"coefficient {i}": c for i, c in enumerate(coefficients)})
     for j in idx:
         require_int(feature_idx=j)
-        if not 0 <= j < n_features:
-            raise ValueError(f"feature_idx {j} is not one of the {n_features} encoded features")
+        if not 0 <= j < len(encoded):
+            raise ValueError(f"feature_idx {j} is not one of the {len(encoded)} encoded features")
+    names = [encoded[j] for j in idx]
+    if d["feature_names"] != names:
+        raise ValueError(f"feature_names {d['feature_names']!r} are not the features at feature_idx {names}")
     st = d.get("standardization")
     penalty = d.get("penalty")
     lf = LinearFit(
         intercept=d["intercept"],
         coefficients=np.asarray(coefficients, dtype=float),
-        feature_names=list(d["feature_names"]),
+        feature_names=names,
         standardization=Standardization.from_dict(st) if st else None,
         penalty=PenaltySpec(penalty["alpha"], penalty["lambda"]) if penalty else None,
         converged=d["converged"],
@@ -360,7 +353,7 @@ def to_json(model: HybridModel) -> str:
             {"name": c.name, "kind": c.kind, "categories": list(c.categories) if c.categories else None}
             for c in model.schema
         ],
-        "encoded_features": list(model.encoded_features),
+        "encoded_features": list(model.tree.feature_names),
         "tree": tree_to_dict(model.tree),
         "node_models": {str(tid): _node_model_to_dict(nm) for tid, nm in model.node_models.items()},
         "fit_metadata": model.fit_metadata,
@@ -382,8 +375,8 @@ def load(path) -> HybridModel:
     unsupported format version, or content that cannot route or score a
     row: node ids off the heap numbering, a split on a feature that does
     not exist or at a threshold that is not a finite number, a linear
-    terminal's columns out of range, or stored feature names that are not
-    the tree's.
+    terminal's columns out of range or named otherwise than the tree names
+    them, or stored feature names that are not the tree's.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -404,9 +397,11 @@ def load(path) -> HybridModel:
                 f"malformed model file {path}: encoded_features {payload['encoded_features']} "
                 f"are not the tree's feature names {tree.feature_names}"
             )
-        n_features = len(tree.feature_names)
+        if not isinstance(payload["node_models"], dict):
+            raise ValueError("node_models must be an object keyed by node id")
         node_models = {
-            int(tid): _node_model_from_dict(d, n_features) for tid, d in payload["node_models"].items()
+            int(tid): _node_model_from_dict(d, tree.feature_names)
+            for tid, d in payload["node_models"].items()
         }
         zero_fractions = {s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]}
         terminals = set(tree.terminal_ids())

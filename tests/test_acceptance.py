@@ -276,7 +276,7 @@ def test_criterion_09_hybrid_invariant_suite(tmp_path):
 
         # piecewise affinity: 3-point stencils inside one terminal
         checked = 0
-        feat = model.encoded_features.index("x1")
+        feat = model.tree.feature_names.index("x1")
         from claimtree.data import feature_matrix
 
         X, _ = feature_matrix(rows)

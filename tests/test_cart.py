@@ -45,6 +45,11 @@ def make_dataset(X, occurrence):
     return Dataset(cols, np.column_stack([X, np.asarray(occurrence, dtype=float)]))
 
 
+def split_ids(tree):
+    """Ids of the tree's split (non-terminal) nodes, ascending."""
+    return sorted(nid for nid, nd in tree.nodes.items() if not nd.is_terminal)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
@@ -371,7 +376,7 @@ class TestGrow:
         ds = make_dataset(X, y)
         tree = grow(ds, TreeHyperparams(maxdepth=1, minsplit=2))
         assert tree.depth() <= 1
-        assert len(tree.internal_ids()) <= 1
+        assert len(split_ids(tree)) <= 1
 
     def test_all_zero_responses_root_only(self):
         ds = make_dataset(np.arange(10.0)[:, None], np.zeros(10))
@@ -402,7 +407,7 @@ class TestGrow:
         X = rng.normal(size=(100, 2))
         y = rng.integers(0, 2, 100)
         tree = grow(make_dataset(X, y), TreeHyperparams(maxdepth=10, minsplit=25))
-        for nid in tree.internal_ids():
+        for nid in split_ids(tree):
             assert tree.nodes[nid].n_node >= 25
 
     def test_maxdepth_capped_at_30(self):
@@ -453,14 +458,14 @@ class TestGrow:
 
         check(1, np.arange(ds.n))
         assert sorted(seen) == sorted(tree.nodes)
-        assert len(tree.internal_ids()) > 10
+        assert len(split_ids(tree)) > 10
 
     def test_node_counts_add_up(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(200, 3))
         y = rng.integers(0, 2, 200)
         tree = grow(make_dataset(X, y), TreeHyperparams(maxdepth=4))
-        for nid in tree.internal_ids():
+        for nid in split_ids(tree):
             nd = tree.nodes[nid]
             assert nd.n_node == tree.nodes[2 * nid].n_node + tree.nodes[2 * nid + 1].n_node
             assert nd.n_positive == (
@@ -542,7 +547,7 @@ class TestGrowEdgeCases:
         ds = self.response_only()
         model = hybrid.fit(ds, hybrid.HybridHyperparams(severity_learner="ols"))
         assert model.tree.terminal_ids() == [1]
-        assert model.encoded_features == []
+        assert model.tree.feature_names == []
         assert model.node_models[1].kind == "zero"
         assert model.zero_fractions == {1: 0.4}
         terminal_of, raw, clipped = hybrid.predict_batch(model, ds)
@@ -830,4 +835,4 @@ class TestDotExport:
         for nid in tree.nodes:
             assert f"  {nid} [label=" in dot
         n_edges = dot.count("->")
-        assert n_edges == 2 * len(tree.internal_ids())
+        assert n_edges == 2 * len(split_ids(tree))

@@ -71,6 +71,14 @@ def _edit_model(payload, edit):
         linear["feature_idx"].pop()
     elif edit == "encoded features renamed":
         payload["encoded_features"][0] = "renamed"
+    elif edit == "node_models a list":
+        payload["node_models"] = list(payload["node_models"].values())
+    elif edit == "feature_names shorter":
+        linear["feature_names"].pop()
+    elif edit == "feature_names renamed":
+        linear["feature_names"][0] = "renamed"
+    elif edit == "feature_names a string":
+        linear["feature_names"] = linear["feature_names"][0]
     elif edit == "bool cp":
         payload["hyperparams"]["cp"] = True
     elif edit == "string n":
@@ -633,6 +641,10 @@ class TestMalformedInputFiles:
         ("feature_idx out of range", "feature_idx 60 is not one of the 60 encoded features"),
         ("feature_idx shorter than coefficients", "feature_idx and coefficients must be lists of one length"),
         ("encoded features renamed", "are not the tree's feature names"),
+        ("node_models a list", "node_models must be an object keyed by node id"),
+        ("feature_names shorter", "are not the features at feature_idx"),
+        ("feature_names renamed", "are not the features at feature_idx"),
+        ("feature_names a string", "are not the features at feature_idx"),
         ("bool cp", "cp must be a finite number"),
         ("string n", "node 1 n must be an integer"),
         ("string intercept", "intercept must be a finite number"),
@@ -673,6 +685,54 @@ class TestMalformedInputFiles:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert f"{problem} {nested}" in err and "Traceback" not in err
+
+
+class TestChecksBeforeInput:
+    """Exit-1 errors are found before any data or model file is read."""
+
+    @pytest.fixture
+    def bad_inputs(self, tmp_path):
+        """A headerless CSV, a truncated model file, a valid schema and grid."""
+        paths = {name: tmp_path / name for name in ("rows.csv", "model.json", "schema.json", "grid.json")}
+        paths["rows.csv"].write_text("1.0,2.0\n", encoding="utf-8")
+        paths["model.json"].write_text("{", encoding="utf-8")
+        columns = [{"name": "x1", "kind": "continuous"}, {"name": "y", "kind": "response"}]
+        paths["schema.json"].write_text(json.dumps({"columns": columns}), encoding="utf-8")
+        paths["grid.json"].write_text(json.dumps({"cp": [0.001]}), encoding="utf-8")
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("command", ["train", "tune", "predict", "evaluate", "compare", "export-tree"])
+    def test_existing_output_refused_before_malformed_input(self, bad_inputs, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}", encoding="utf-8")  # in every output directory
+        csv, model, schema = bad_inputs["rows.csv"], bad_inputs["model.json"], bad_inputs["schema.json"]
+        argv = {
+            "train": ["--data", csv, "--schema", schema, "--out", str(out)],
+            "tune": ["--data", csv, "--schema", schema, "--grid", bad_inputs["grid.json"], "--out", str(out)],
+            "predict": ["--model", model, "--data", csv, "--out", str(out / "manifest.json")],
+            "evaluate": ["--predictions", csv, "--actuals", csv, "--schema", schema,
+                         "--out", str(out / "manifest.json")],
+            "compare": ["--train", csv, "--test", csv, "--schema", schema, "--out", str(out)],
+            "export-tree": ["--model", model, "--out", str(out / "manifest.json")],
+        }[command]
+        assert main([command, *argv]) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--no-baselines"], "need at least 2 models"),
+        (["--maxdepth", "0"], "maxdepth must lie in"),
+    ])
+    def test_compare_settings_refused_before_malformed_input(
+        self, bad_inputs, tmp_path, capsys, flags, problem
+    ):
+        csv = bad_inputs["rows.csv"]
+        code = main([
+            "compare", "--models", bad_inputs["model.json"], "--train", csv, "--test", csv,
+            "--schema", bad_inputs["schema.json"], "--out", str(tmp_path / "cmp"), *flags,
+        ])
+        assert code == 1
+        assert problem in capsys.readouterr().err
 
 
 class TestCompareAndExport:

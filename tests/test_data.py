@@ -7,14 +7,12 @@ from claimtree.data import (
     Column,
     DataError,
     Dataset,
-    encode_categoricals,
     feature_matrix,
     load_csv,
     load_schema,
     nonconstant_columns,
     save_csv,
     save_schema,
-    standardize,
     standardize_matrix,
 )
 
@@ -187,22 +185,10 @@ class TestStandardize:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 4)) * 100 + 13
         Z, st = standardize_matrix(X)
-        back = st.invert(Z)
-        np.testing.assert_allclose(back, X, rtol=1e-10)
-
-    def test_dataset_level_rejects_categorical(self):
-        schema = (Column("c", "categorical", ("a", "b")), Column("y", "response"))
-        ds = Dataset(schema, np.array([[0.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(DataError, match="categorical"):
-            standardize(ds, ["c"])
-
-    def test_dataset_level_transforms_selected_columns(self):
-        schema = (Column("x1", "continuous"), Column("x2", "continuous"), Column("y", "response"))
-        ds = Dataset(schema, np.array([[1.0, 5.0, 0.0], [2.0, 6.0, 1.0], [3.0, 9.0, 2.0]]))
-        out, st = standardize(ds, ["x1"])
-        np.testing.assert_allclose(out.column_values("x1").sum(), 0.0, atol=1e-15)
-        np.testing.assert_array_equal(out.column_values("x2"), ds.column_values("x2"))
-        assert st.names == ("x1",)
+        # the stored center and scale map X to Z and back: the fit's
+        # destandardization and the CV folds' test rows rely on both
+        assert st.apply(X).tobytes() == Z.tobytes()
+        np.testing.assert_allclose(Z * st.scale + st.center, X, rtol=1e-10)
 
 
 class TestEncodeCategoricals:
@@ -212,26 +198,23 @@ class TestEncodeCategoricals:
     def test_four_levels_become_three_indicators(self):
         schema = (self.four_level(), Column("y", "response"))
         ds = Dataset(schema, np.array([[0, 1.0], [1, 0.0], [2, 0.0], [3, 2.0]]))
-        enc = encode_categoricals(ds)
-        names = [c.name for c in enc.feature_columns]
+        X, names = feature_matrix(ds)
         assert names == ["c=-2", "c=1", "c=4"]
-        np.testing.assert_array_equal(
-            enc.values[:, :3],
-            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        )
+        np.testing.assert_array_equal(X, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_binary_column_unchanged(self):
         schema = (Column("b", "categorical", ("0", "1")), Column("y", "response"))
         ds = Dataset(schema, np.array([[0, 1.0], [1, 0.0]]))
-        enc = encode_categoricals(ds)
-        assert [c.name for c in enc.feature_columns] == ["b"]
-        np.testing.assert_array_equal(enc.column_values("b"), [0.0, 1.0])
+        X, names = feature_matrix(ds)
+        assert names == ["b"]
+        np.testing.assert_array_equal(X, [[0.0], [1.0]])
 
     def test_two_four_level_columns_give_six(self):
         schema = (self.four_level(), Column("d", "categorical", ("w", "x", "y", "z")), Column("y", "response"))
         ds = Dataset(schema, np.array([[0, 3, 1.0], [2, 1, 0.0]]))
-        enc = encode_categoricals(ds)
-        assert len(enc.feature_columns) == 6
+        X, names = feature_matrix(ds)
+        assert names == ["c=-2", "c=1", "c=4", "d=x", "d=y", "d=z"]
+        np.testing.assert_array_equal(X, [[0, 0, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0]])
         assert ds.p == 6
 
     def test_preserves_row_count_and_order(self):
@@ -241,9 +224,12 @@ class TestEncodeCategoricals:
             [rng.normal(size=20), rng.integers(0, 4, 20).astype(float), rng.uniform(0, 1, 20)]
         )
         ds = Dataset(schema, vals)
-        enc = encode_categoricals(ds)
-        assert enc.n == 20
-        np.testing.assert_array_equal(enc.column_values("x"), ds.column_values("x"))
+        X, names = feature_matrix(ds)
+        assert X.shape == (20, 4) and names[0] == "x"
+        np.testing.assert_array_equal(X[:, 0], ds.column_values("x"))
+        # row i's indicators name its own category (all zero for the first)
+        levels = X[:, 1:] @ np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(levels, ds.column_values("c"))
 
     def test_feature_matrix_names_align(self):
         schema = (Column("x", "continuous"), self.four_level(), Column("y", "response"))

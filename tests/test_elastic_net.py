@@ -24,7 +24,6 @@ from claimtree.elastic_net import (
     enet_objective,
     fit_elastic_net,
     fit_ols,
-    fit_ridge,
     kkt_violation,
     lambda_max,
     lambda_path_cv,
@@ -110,14 +109,14 @@ class TestRidge:
         X = rng.normal(size=(60, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=60)
         ols = fit_ols(X, y)
-        ridge = fit_ridge(X, y, 1e-10)
+        ridge = fit_elastic_net(X, y, PenaltySpec(alpha=0.0, lam=1e-10 / 60))
         np.testing.assert_allclose(ridge.coefficients, ols.coefficients, atol=1e-6)
 
     def test_large_lambda_shrinks_to_mean(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(50, 3))
         y = X @ np.array([1.0, 2.0, -1.0]) + rng.normal(size=50)
-        ridge = fit_ridge(X, y, 1e12)
+        ridge = fit_elastic_net(X, y, PenaltySpec(alpha=0.0, lam=1e12 / 50))
         np.testing.assert_allclose(ridge.coefficients, 0.0, atol=1e-8)
         assert ridge.intercept == pytest.approx(y.mean(), abs=1e-8)
 
@@ -173,14 +172,17 @@ class TestOls:
 
 
 class TestElasticNet:
-    def test_alpha0_matches_fit_ridge(self):
+    def test_alpha0_matches_ridge_closed_form(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 4))
         y = X @ np.array([1.0, 0.0, -2.0, 0.5]) + 0.3 * rng.normal(size=40)
         lam = 0.8
         enet = fit_elastic_net(X, y, PenaltySpec(alpha=0.0, lam=lam / 40))
-        ridge = fit_ridge(X, y, lam)
-        np.testing.assert_allclose(enet.coefficients, ridge.coefficients, atol=1e-6)
+        Xs, st = standardize_matrix(X)
+        b_std = ridge_closed_form(Xs, y - y.mean(), lam)
+        np.testing.assert_allclose(enet.coefficients, b_std / st.scale, atol=1e-6)
+        intercept = y.mean() - (b_std / st.scale) @ st.center
+        assert enet.intercept == pytest.approx(intercept, abs=1e-6)
 
     def test_single_predictor_lasso_is_soft_thresholded_ols(self):
         rng = np.random.default_rng(10)
@@ -268,7 +270,7 @@ class TestElasticNet:
         fit = fit_elastic_net(X, y, PenaltySpec(alpha=0.7, lam=0.01))
         direct = fit.predict(X)
         Xs = fit.standardization.apply(X)
-        via_std = y.mean() + Xs @ fit.standardized_coefficients()
+        via_std = y.mean() + Xs @ (fit.coefficients * fit.standardization.scale)
         np.testing.assert_allclose(direct, via_std, atol=1e-8)
 
 

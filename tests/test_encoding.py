@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from claimtree.data import Column, Dataset, encode_categoricals, feature_matrix  # noqa: E402
+from claimtree.data import Column, Dataset, feature_matrix  # noqa: E402
 
 
 def reference_encode(ds):
@@ -84,12 +84,3 @@ def test_writing_into_feature_matrix_leaves_dataset_untouched(ds):
     X, _ = feature_matrix(ds)
     X[...] = 7.0
     assert ds.values.tobytes() == before.tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(datasets())
-def test_encode_categoricals_matches_reference(ds):
-    ref_cols, ref_arrays = reference_encode(ds)
-    enc = encode_categoricals(ds)
-    assert enc.columns == tuple(ref_cols)
-    assert enc.values.tobytes() == stack(ref_arrays, ds.n).tobytes()

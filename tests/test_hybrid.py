@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from claimtree.cart import Tree, TreeHyperparams, TreeNode, variable_importance
+from claimtree.cart import Tree, TreeHyperparams, TreeNode, to_dot, variable_importance
 from claimtree.data import Column, Dataset, feature_matrix
 from claimtree.elastic_net import LinearFit
 from claimtree.hybrid import (
@@ -16,7 +16,6 @@ from claimtree.hybrid import (
     ModelLoadError,
     NodeModel,
     coefficient_report,
-    export_tree_dot,
     fit,
     format_coefficient_table,
     load,
@@ -471,5 +470,5 @@ class TestInvariants:
     def test_export_tree_dot(self):
         ds = claims_dataset(np.random.default_rng(21))
         model = fit(ds, HybridHyperparams(cp=0.001, maxdepth=2, severity_learner="ols"))
-        dot = export_tree_dot(model)
+        dot = to_dot(model.tree)
         assert dot.startswith("digraph")
