@@ -154,19 +154,23 @@ class Tree:
             )
         t = self.routing
         feature, threshold, left, right = t.feature_list, t.threshold_list, t.left_list, t.right_list
-        k = 0
+        k = t.root
         while (f := feature[k]) >= 0:
             k = left[k] if x[f] < threshold[k] else right[k]
         return t.node_id_list[k], t.beta_f_list[k]
 
-    def classify_batch(self, X: np.ndarray) -> np.ndarray:
-        """Terminal node id for every row of X."""
+    def terminal_slots(self, X: np.ndarray) -> np.ndarray:
+        """For every row of X, the index of its terminal in ``terminal_ids()``."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} feature values per row, got shape {X.shape}"
             )
-        return self.routing.node_id.take(self.routing.route(X))
+        return self.routing.route(X)
+
+    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+        """Terminal node id for every row of X."""
+        return self.routing.node_id.take(self.terminal_slots(X))
 
     def training_misclassification(self) -> float:
         """Share of training rows misclassified by the terminal majority votes."""
@@ -177,37 +181,33 @@ class Tree:
 class RoutingTable:
     """A tree flattened for routing: one entry per node, by compact position.
 
-    The root sits at position 0 and the rest follow breadth-first, so the
-    table's size is the node count whatever the heap ids (which reach 2**31
-    at ``MAX_DEPTH``). Per position it holds the split feature (-1 at a
-    terminal), the threshold, both children, the heap id and beta_f. The
-    children sit in ``child`` at ``2k + 1`` (left) and ``2k`` (right), and
-    a terminal's are itself, so a row at k moves to
-    ``child[2k + (x[feature[k]] < threshold[k])]``; ``depth`` such steps
-    take every row to its terminal. A NaN compares False and goes right.
-    The single-row walk reads the same columns as plain lists.
+    Positions 0..T-1 hold the T terminals in ``Tree.terminal_ids()`` order
+    and the internal nodes follow in heap-id order, so the table's size is
+    the node count whatever the heap ids (which reach 2**31 at
+    ``MAX_DEPTH``), and the position a row reaches is its terminal slot.
+    ``root`` is the root's position, where every walk starts. Per position
+    the table holds the split feature (-1 at a terminal), the threshold,
+    both children, the heap id and beta_f. The children sit in ``child`` at
+    ``2k + 1`` (left) and ``2k`` (right), and a terminal's are itself, so a
+    row at k moves to ``child[2k + (x[feature[k]] < threshold[k])]``;
+    ``depth`` such steps take every row to its terminal. A NaN compares
+    False and goes right. The single-row walk reads the same columns as
+    plain lists.
     """
 
     def __init__(self, tree: Tree):
-        ids = [1]
-        feature, threshold, left, right = [], [], [], []
-        for k, nid in enumerate(ids):  # ids grows as it is walked: breadth-first
-            split = tree.nodes[nid].split
-            if split is None:
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(k)
-                right.append(k)
-            else:
-                feature.append(split.feature)
-                threshold.append(split.threshold)
-                left.append(len(ids))
-                right.append(len(ids) + 1)
-                ids += [2 * nid, 2 * nid + 1]
+        ids = tree.terminal_ids() + sorted(nid for nid, nd in tree.nodes.items() if not nd.is_terminal)
+        at = {nid: k for k, nid in enumerate(ids)}
+        splits = [tree.nodes[nid].split for nid in ids]
+        feature = [-1 if s is None else s.feature for s in splits]
+        threshold = [0.0 if s is None else s.threshold for s in splits]
+        left = [k if s is None else at[2 * nid] for k, (nid, s) in enumerate(zip(ids, splits))]
+        right = [k if s is None else at[2 * nid + 1] for k, (nid, s) in enumerate(zip(ids, splits))]
         self.feature_list, self.threshold_list = feature, threshold
         self.left_list, self.right_list = left, right
         self.node_id_list = ids
         self.beta_f_list = [tree.nodes[nid].beta_f for nid in ids]
+        self.root = at[1]
         self.depth = max(ids).bit_length() - 1
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=float)
@@ -215,7 +215,7 @@ class RoutingTable:
         self.node_id = np.array(ids, dtype=np.int64)
 
     def route(self, X: np.ndarray) -> np.ndarray:
-        """Position of the terminal that each row of the 2-D float X reaches."""
+        """Slot of the terminal that each row of the 2-D float X reaches."""
         n, p = X.shape
         # Cell (r, j) of X is flat[r * row_step + j * col_step]. For an F- or
         # C-ordered X (feature_matrix gives F order) the ravel is a view, so
@@ -226,7 +226,7 @@ class RoutingTable:
         else:
             flat, row_step, col_step = X.ravel(), p, 1
         rows = np.arange(n, dtype=np.intp) * row_step
-        k = np.zeros(n, dtype=np.intp)
+        k = np.full(n, self.root, dtype=np.intp)
         for _ in range(self.depth):
             cell = self.feature.take(k)
             cell *= col_step

@@ -399,9 +399,7 @@ def cmd_compare(args) -> int:
     seed = _resolve(args, cfg, "seed", 0)
     if len(args.models) + (0 if args.no_baselines else 2) < 2:
         raise CliValidationError("need at least 2 models; pass --models or drop --no-baselines")
-    if not args.no_baselines:
-        base = _from_flags(HybridHyperparams, args, cfg)
-        mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
+    base = _from_flags(HybridHyperparams, args, cfg)  # checked whether or not baselines run
     out = _prepare_out_dir(
         args.out, args.force, ["comparison.csv", "comparison.svg", "manifest.json"]
     )
@@ -415,6 +413,7 @@ def cmd_compare(args) -> int:
         models.append((name, lambda ds, m=stored: predict_batch(m, ds)[2]))
     if not args.no_baselines:
         models.append(("constant_mean", constant_mean_learner(ds_train)))
+        mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
         tree_model = fit(ds_train, mean_leaf_hp, seed=seed)
         models.append(("mean_leaf_tree", lambda ds, m=tree_model: predict_batch(m, ds)[2]))
     table = comparison_table(models, ds_train, ds_test)

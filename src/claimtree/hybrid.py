@@ -86,16 +86,14 @@ class HybridHyperparams:
 class NodeModel:
     """Severity predictor at one terminal: zero, mean or linear."""
 
-    kind: str  # "zero" | "mean" | "linear"
-    value: float = 0.0
+    kind: str  # "zero" | "mean" | "linear", for reports and serialization
+    value: float = 0.0  # the prediction when there is no fit: 0.0 at a zero terminal
     fit: LinearFit | None = None
     feature_idx: np.ndarray | None = None  # columns of the encoded matrix used by fit
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.kind == "zero":
-            return np.zeros(X.shape[0])
-        if self.kind == "mean":
+        if self.fit is None:
             return np.full(X.shape[0], self.value)
         return self.fit.predict(X[:, self.feature_idx])
 
@@ -165,12 +163,12 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
 
     X, names = feature_matrix(ds)
     y = ds.response
-    terminal_of = tree.classify_batch(X)
+    slot = tree.terminal_slots(X)
 
     node_models: dict[int, NodeModel] = {}
     zero_fractions: dict[int, float] = {}
-    for tid in tree.terminal_ids():
-        rows = np.nonzero(terminal_of == tid)[0]
+    for j, tid in enumerate(tree.terminal_ids()):
+        rows = np.flatnonzero(slot == j)
         y_node = y[rows]
         zero_fractions[tid] = float((y_node == 0.0).mean()) if rows.size else 1.0
         node_models[tid] = _fit_node_model(
@@ -187,16 +185,14 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
 
 
 def _fit_node_model(X_node, y_node, names, beta_f, zero_fraction, hp, seed, tid) -> NodeModel:
-    # Precedence: majority-no-claim gate, then the zero rule, then size.
-    if beta_f == 0:
+    # Precedence: majority-no-claim gate, then the zero rule, then size and
+    # constant columns; a rank-deficient OLS design falls back to the mean.
+    if beta_f == 0 or zero_fraction > hp.zero_threshold:
         return NodeModel(kind="zero")
-    if zero_fraction > hp.zero_threshold:
-        return NodeModel(kind="zero")
-    if y_node.size < hp.min_node_for_linear:
-        return NodeModel(kind="mean", value=float(y_node.mean()))
-    active = np.nonzero(nonconstant_columns(X_node))[0]
-    if active.size == 0:
-        return NodeModel(kind="mean", value=float(y_node.mean()))
+    mean = NodeModel(kind="mean", value=float(y_node.mean()))
+    active = np.flatnonzero(nonconstant_columns(X_node))
+    if y_node.size < hp.min_node_for_linear or active.size == 0:
+        return mean
     X_fit = X_node[:, active]
     active_names = [names[j] for j in active]
     if hp.severity_learner == "ols":
@@ -204,7 +200,7 @@ def _fit_node_model(X_node, y_node, names, beta_f, zero_fraction, hp, seed, tid)
             lf = fit_ols(X_fit, y_node, feature_names=active_names)
         except RankDeficiencyError:
             log.warning("terminal %d: rank-deficient OLS design, falling back to node mean", tid)
-            return NodeModel(kind="mean", value=float(y_node.mean()))
+            return mean
     else:
         lf = fit_elastic_net(
             X_fit,
@@ -229,31 +225,24 @@ def predict_batch(model: HybridModel, ds: Dataset):
             "dataset features do not match the model "
             f"(expected {model.tree.feature_names}, got {names})"
         )
-    terminal_of = model.tree.classify_batch(X)
-    terminals = model.tree.terminal_ids()
-    node_models = [model.node_models[tid] for tid in terminals]
-    # Each row's slot in the sorted terminal ids: zero and mean terminals
-    # then fill by one gather of their values, and only linear ones need rows.
-    slot = np.searchsorted(terminals, terminal_of)
-    values = [nm.value if nm.kind == "mean" else 0.0 for nm in node_models]
-    raw = np.array(values, dtype=float).take(slot)
+    slot = model.tree.terminal_slots(X)
+    node_models = [model.node_models[tid] for tid in model.tree.terminal_ids()]
+    # Terminals without a fit fill by one gather of their values; only
+    # linear ones need their rows.
+    raw = np.array([nm.value for nm in node_models], dtype=float).take(slot)
     for j, nm in enumerate(node_models):
-        if nm.kind == "linear":
+        if nm.fit is not None:
             rows = np.flatnonzero(slot == j)
-            if rows.size:
-                raw[rows] = nm.predict(X[rows])
-    return terminal_of, raw, np.maximum(raw, 0.0)
+            raw[rows] = nm.predict(X[rows])
+    return model.tree.routing.node_id.take(slot), raw, np.maximum(raw, 0.0)
 
 
 def predict(model: HybridModel, x: np.ndarray) -> float:
     """Predict one encoded feature row; negative values clip to 0."""
     x = np.asarray(x, dtype=float)
     nm = model.node_models[model.tree.classify(x)[0]]
-    if nm.kind == "zero":
-        return 0.0
-    if nm.kind == "mean":
-        return max(float(nm.value), 0.0)
-    return max(float(nm.predict(x[None, :])[0]), 0.0)
+    raw = nm.value if nm.fit is None else nm.predict(x[None, :])[0]
+    return max(float(raw), 0.0)
 
 
 def coefficient_report(model: HybridModel) -> dict[int, dict[str, float]]:
@@ -268,14 +257,10 @@ def coefficient_report(model: HybridModel) -> dict[int, dict[str, float]]:
         nm = model.node_models[tid]
         if nm.kind == "zero":
             continue
-        if nm.kind == "mean":
-            report[tid] = {"(Intercept)": nm.value}
-            continue
-        entry = {"(Intercept)": nm.fit.intercept}
-        for name, coef in zip(nm.fit.feature_names, nm.fit.coefficients):
-            if coef != 0.0:
-                entry[name] = float(coef)
-        report[tid] = entry
+        lf = nm.fit
+        entry = report[tid] = {"(Intercept)": nm.value if lf is None else lf.intercept}
+        if lf is not None:
+            entry.update((name, float(c)) for name, c in zip(lf.feature_names, lf.coefficients) if c != 0.0)
     return report
 
 
@@ -332,12 +317,21 @@ def _node_model_from_dict(d: dict, encoded: list[str]) -> NodeModel:
     if d["feature_names"] != names:
         raise ValueError(f"feature_names {d['feature_names']!r} are not the features at feature_idx {names}")
     st = d.get("standardization")
+    if st is not None:
+        if st["names"] != names:
+            raise ValueError(f"standardization names {st['names']!r} are not the feature names {names}")
+        for key in ("center", "scale"):
+            if not (isinstance(st[key], list) and len(st[key]) == len(names)):
+                raise ValueError(f"standardization {key} must be a list of {len(names)} numbers")
+            require_real(**{f"standardization {key} {i}": v for i, v in enumerate(st[key])})
+        if min(st["scale"], default=1.0) <= 0:
+            raise ValueError("standardization scale must be > 0")
     penalty = d.get("penalty")
     lf = LinearFit(
         intercept=d["intercept"],
         coefficients=np.asarray(coefficients, dtype=float),
         feature_names=names,
-        standardization=Standardization.from_dict(st) if st else None,
+        standardization=None if st is None else Standardization.from_dict(st),
         penalty=PenaltySpec(penalty["alpha"], penalty["lambda"]) if penalty else None,
         converged=d["converged"],
         iterations=d["iterations"],
@@ -376,7 +370,9 @@ def load(path) -> HybridModel:
     row: node ids off the heap numbering, a split on a feature that does
     not exist or at a threshold that is not a finite number, a linear
     terminal's columns out of range or named otherwise than the tree names
-    them, or stored feature names that are not the tree's.
+    them, its standardization not one finite center and positive scale per
+    coefficient under the same names, a zero fraction outside [0, 1], or
+    stored feature names that are not the tree's.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -404,6 +400,10 @@ def load(path) -> HybridModel:
             for tid, d in payload["node_models"].items()
         }
         zero_fractions = {s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]}
+        for tid, z in zero_fractions.items():
+            require_real(**{f"terminal {tid} zero_fraction": z})
+            if not 0.0 <= z <= 1.0:
+                raise ValueError(f"terminal {tid} zero_fraction {z} lies outside [0, 1]")
         terminals = set(tree.terminal_ids())
         for key, ids in (("node_models", set(node_models)), ("terminal_summaries", set(zero_fractions))):
             if ids != terminals:

@@ -781,6 +781,23 @@ class TestClassify:
         assert cut.depth() == 2
         np.testing.assert_array_equal(cut.classify_batch(X), reference_classify_batch(cut, X))
 
+    def test_terminals_take_the_first_routing_positions(self):
+        tree = random_tree(np.random.default_rng(7), maxdepth=6)
+        table, terminals = tree.routing, tree.terminal_ids()
+        assert len(terminals) > 2
+        assert table.node_id_list[:len(terminals)] == terminals
+        assert sorted(table.node_id_list) == sorted(tree.nodes)
+        assert table.node_id_list[table.root] == 1
+        X = np.random.default_rng(8).normal(size=(500, 3))
+        slots = tree.terminal_slots(X)
+        assert slots.max() < len(terminals)
+        np.testing.assert_array_equal(np.asarray(terminals)[slots], tree.classify_batch(X))
+
+    def test_root_only_tree_has_one_slot(self):
+        tree = grow(make_dataset(np.arange(4.0)[:, None], [1, 1, 1, 1]))
+        assert tree.routing.root == 0 and tree.routing.node_id_list == [1]
+        np.testing.assert_array_equal(tree.terminal_slots(np.zeros((3, 1))), [0, 0, 0])
+
     def test_empty_batch(self):
         tree = random_tree(np.random.default_rng(6))
         out = tree.classify_batch(np.empty((0, 3)))
@@ -803,6 +820,8 @@ class TestClassify:
             tree.classify_batch(X[:, :3])
         with pytest.raises(ValueError, match=expected):
             tree.classify_batch(X[0])
+        with pytest.raises(ValueError, match=expected):
+            tree.terminal_slots(X[:, :3])
 
 
 class TestVariableImportance:

@@ -87,6 +87,21 @@ def _edit_model(payload, edit):
         linear["intercept"] = "0.0"
     elif edit == "bool coefficient":
         linear["coefficients"][1] = True
+    elif edit == "standardization of other features":
+        linear["standardization"] = {"names": ["nope"], "center": [1.0], "scale": [0.0]}
+    elif edit.startswith("standardization"):  # corrupt one entry of a well-formed standardization
+        m = len(linear["coefficients"])
+        st = linear["standardization"] = {"names": linear["feature_names"], "center": [0.0] * m, "scale": [1.0] * m}
+        if edit == "standardization center too short":
+            st["center"].pop()
+        elif edit == "standardization string scale":
+            st["scale"][0] = "1.0"
+        elif edit == "standardization zero scale":
+            st["scale"][2] = 0.0
+    elif edit == "string zero_fraction":
+        payload["terminal_summaries"][0]["zero_fraction"] = "lots"
+    elif edit == "zero_fraction above 1":
+        payload["terminal_summaries"][0]["zero_fraction"] = 1.5
     elif edit == "node deeper than 30":
         node, nid = root["left"]["left"], 4  # a terminal; grow a left spine under it
         while nid < 2**31:
@@ -649,6 +664,12 @@ class TestMalformedInputFiles:
         ("string n", "node 1 n must be an integer"),
         ("string intercept", "intercept must be a finite number"),
         ("bool coefficient", "coefficient 1 must be a finite number"),
+        ("standardization of other features", "standardization names ['nope'] are not the feature names"),
+        ("standardization center too short", "standardization center must be a list of 60 numbers"),
+        ("standardization string scale", "standardization scale 0 must be a finite number"),
+        ("standardization zero scale", "standardization scale must be > 0"),
+        ("string zero_fraction", "terminal 4 zero_fraction must be a finite number, got 'lots'"),
+        ("zero_fraction above 1", "terminal 4 zero_fraction 1.5 lies outside [0, 1]"),
         ("node deeper than 30", f"node {2**31} lies deeper than 30"),
     ])
     def test_unusable_model_is_load_error(self, linear_model, tmp_path, capsys, edit, problem):
@@ -733,6 +754,16 @@ class TestChecksBeforeInput:
         ])
         assert code == 1
         assert problem in capsys.readouterr().err
+
+    def test_compare_settings_refused_without_baselines(self, bad_inputs, tmp_path, capsys):
+        csv, model = bad_inputs["rows.csv"], bad_inputs["model.json"]
+        code = main([
+            "compare", "--models", model, model, "--no-baselines", "--train", csv, "--test", csv,
+            "--schema", bad_inputs["schema.json"], "--out", str(tmp_path / "cmp"), "--maxdepth", "0",
+        ])
+        assert code == 1
+        assert "maxdepth must lie in" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestCompareAndExport:

@@ -256,6 +256,10 @@ class TestPredictBatch:
         direct = model.tree.classify_batch(X)
         np.testing.assert_array_equal(tids, direct)
         assert tids.shape[0] == ds.n
+        # ds is the training set: fit's rows per terminal are the grown counts
+        terminals = model.tree.terminal_ids()
+        counts = np.bincount(model.tree.terminal_slots(X), minlength=len(terminals))
+        assert counts.tolist() == [model.tree.nodes[t].n_node for t in terminals]
 
     def test_schema_mismatch_rejected(self):
         model, _ = self.make_fitted(9)

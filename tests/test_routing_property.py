@@ -1,7 +1,8 @@
 """Property test: routing through the flat node table gives the stack
-router's terminal ids, batch and single-row alike, on small random trees
-with many tied values and on rows that sit exactly on a threshold, at
-+-inf or at NaN (which goes right)."""
+router's terminal ids, batch and single-row alike, and terminal slots that
+index ``terminal_ids()`` to the same ids, on small random trees with many
+tied values and on rows that sit exactly on a threshold, at +-inf or at
+NaN (which goes right)."""
 
 import json
 
@@ -50,3 +51,5 @@ def test_flat_table_routes_as_the_stack_router(case):
     assert [tree.classify(row) for row in X] == [(int(t), tree.nodes[t].beta_f) for t in want]
     loaded = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))))
     np.testing.assert_array_equal(loaded.classify_batch(X), want)
+    for t in (tree, loaded):
+        np.testing.assert_array_equal(np.asarray(t.terminal_ids())[t.terminal_slots(X)], want)
