@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -399,10 +399,11 @@ def truncate(tree: Tree, hyperparams: TreeHyperparams) -> Tree:
         parent = nodes.get(nid // 2)
         if nid > 1 and (parent is None or parent.is_terminal):
             continue
-        node = nodes[nid] = replace(nd)
-        if node.depth >= hyperparams.maxdepth or node.n_node < hyperparams.minsplit:
-            node.split, node.gain = None, 0.0
-    return replace(tree, nodes=nodes, hyperparams=hyperparams)
+        if nd.depth >= hyperparams.maxdepth or nd.n_node < hyperparams.minsplit:
+            nodes[nid] = TreeNode(nid, nd.n_node, nd.n_positive)
+        else:
+            nodes[nid] = TreeNode(nid, nd.n_node, nd.n_positive, nd.split, nd.gain)
+    return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=hyperparams)
 
 
 def _covers(grown: TreeHyperparams, wanted: TreeHyperparams) -> bool:
@@ -414,21 +415,27 @@ def _covers(grown: TreeHyperparams, wanted: TreeHyperparams) -> bool:
     )
 
 
-# [dataset, tree] kept by the innermost ``tree_reuse`` block; None outside
-# every block, so nothing is kept there.
+# [dataset, tree, cache] kept by the innermost ``tree_reuse`` block; None
+# outside every block, so nothing is kept there.
 _kept: ContextVar[list | None] = ContextVar("claimtree_kept_tree", default=None)
 
 
 @contextmanager
 def tree_reuse():
-    """A block within which one grown tree is kept for reuse.
+    """A block within which one grown tree, and a cache that goes with it,
+    are kept for reuse.
 
     Inside it, :func:`reused_tree` cuts the kept tree to a request on the
     same ``Dataset`` object (datasets are immutable, so the same object
-    means the same rows), and :func:`keep_tree` replaces the kept tree. It
-    is released when the block ends; outside every block nothing is kept.
+    means the same rows), and :func:`keep_tree` replaces the kept tree and
+    empties its cache. :func:`kept_cache` gives that cache to fits on the
+    same object: any pruned or truncated cut of the kept tree holds each of
+    its terminals with exactly that node's rows, so what a fit derives from
+    a node's rows alone can be stored there for the block's later fits.
+    Both are released when the block ends; outside every block nothing is
+    kept.
     """
-    token = _kept.set([None, None])
+    token = _kept.set([None, None, {}])
     try:
         yield
     finally:
@@ -445,11 +452,18 @@ def reused_tree(ds: Dataset, hyperparams: TreeHyperparams) -> Tree | None:
 
 
 def keep_tree(ds: Dataset, tree: Tree) -> None:
-    """Keep ``tree``, grown on ``ds``, for the rest of the current
-    :func:`tree_reuse` block; outside every block, do nothing."""
+    """Keep ``tree``, grown on ``ds``, with an empty cache for the rest of
+    the current :func:`tree_reuse` block; outside every block, do nothing."""
     slot = _kept.get()
     if slot is not None:
-        slot[:] = ds, tree
+        slot[:] = ds, tree, {}
+
+
+def kept_cache(ds: Dataset) -> dict:
+    """The cache kept with the tree grown on ``ds``; a fresh dict that
+    nothing keeps when no tree is kept for ``ds`` or outside every block."""
+    slot = _kept.get()
+    return slot[2] if slot is not None and slot[0] is ds else {}
 
 
 def prune(tree: Tree, alpha: float) -> Tree:
@@ -469,7 +483,8 @@ def prune(tree: Tree, alpha: float) -> Tree:
 
     def visit(nid: int) -> tuple[int, int]:
         # (misclassified count over the pruned subtree's terminals, their number)
-        node = replace(tree.nodes[nid])
+        nd = tree.nodes[nid]
+        node = TreeNode(nid, nd.n_node, nd.n_positive, nd.split, nd.gain)
         at = len(kept)
         kept.append(node)
         if node.is_terminal:
@@ -485,7 +500,8 @@ def prune(tree: Tree, alpha: float) -> Tree:
         return m_sub, t_sub
 
     visit(1)
-    return replace(tree, nodes={nd.id: nd for nd in kept})
+    nodes = {nd.id: nd for nd in kept}
+    return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=tree.hyperparams)
 
 
 def cost_complexity(tree: Tree, alpha: float) -> float:

@@ -153,6 +153,11 @@ class Dataset:
         if (self.response < 0).any():
             raise DataError("response column contains negative values")
         for j, col in enumerate(self.columns):
+            if col.kind == "count" and (values[:, j] < 0).any():
+                row = int(np.argmax(values[:, j] < 0))
+                raise DataError(
+                    f"column {col.name!r}: row {row} holds {float(values[row, j])!r}, a negative count"
+                )
             if col.kind == "categorical":
                 cells = values[:, j]
                 bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= len(col.categories))
@@ -245,10 +250,11 @@ def load_csv(path, schema) -> Dataset:
     """Parse a header-row CSV into a Dataset according to ``schema``.
 
     Rejects missing columns, missing values, unparseable or non-finite
-    numbers, unknown category labels and negative responses; error messages
-    name the data row (1-based) and column. A number is what ``float``
-    reads, except the Python literal forms with ``_`` (``1_000``), which no
-    CSV writer produces.
+    numbers, unknown category labels and negative responses or counts (a
+    fractional count is accepted); error messages name the data row
+    (1-based) and column. A number is what ``float`` reads, except the
+    Python literal forms with ``_`` (``1_000``), which no CSV writer
+    produces.
 
     A file that passes a byte pre-scan (see :func:`_count_lines`) is read by
     numpy's C text reader, which parses numbers with the same routine as
@@ -267,13 +273,10 @@ def load_csv(path, schema) -> Dataset:
         raise DataError(
             f"{path}: row {r + 1}, column {schema[j].name!r}: non-finite value {values[r, j]}"
         )
-    j = next(j for j, col in enumerate(schema) if col.kind == "response")
-    negative = values[:, j] < 0
-    if negative.any():
-        r = int(np.argmax(negative))
-        raise DataError(
-            f"{path}: row {r + 1}, column {schema[j].name!r}: negative response {values[r, j]}"
-        )
+    for j, col in enumerate(schema):
+        if col.kind in ("response", "count") and (values[:, j] < 0).any():
+            r = int(np.argmax(values[:, j] < 0))
+            raise DataError(f"{path}: row {r + 1}, column {col.name!r}: negative {col.kind} {values[r, j]}")
     return Dataset(schema, values)
 
 

@@ -211,9 +211,9 @@ def _cross_validate(ds: Dataset, cells: list[tuple[dict, Learner]], k: int, seed
     Folds are the outer loop. Each fold's train and test datasets are built
     once, every cell is fitted on that same pair of objects, deepest cell
     first, and both are dropped before the next fold, so one fold's copies
-    are live at a time. Within a fold the cells share one grown tree
-    (:func:`claimtree.cart.tree_reuse`). Results land in the cells' own
-    order, each cell's fold results and failures in fold order.
+    are live at a time. Within a fold the cells share one grown tree and
+    its cache (:func:`claimtree.cart.tree_reuse`). Results land in the
+    cells' own order, each cell's fold results and failures in fold order.
     """
     folds = fold_indices(ds.n, k, seed)
     all_idx = np.arange(ds.n)
@@ -268,7 +268,9 @@ def grid_search(
     then minsplit ascending). A hybrid learner grows the fold's tree once,
     in the first cell, and the later cells truncate it
     (:func:`claimtree.cart.truncate`), which gives the tree they would
-    grow. Cells, their fold results and failures keep grid order.
+    grow; the fold's training set is encoded once and a terminal that cells
+    share is fitted once for each set of severity settings. Cells, their
+    fold results and failures keep grid order.
     """
     if not grid:
         raise ValueError("empty grid")

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .cart import (
-    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, prune, reused_tree, tree_from_dict, tree_to_dict,
+    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, kept_cache, prune, reused_tree, tree_from_dict,
+    tree_to_dict,
 )
 from .data import (
     Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, json_text,
@@ -138,6 +139,13 @@ class HybridModel:
         ]
 
 
+# The HybridHyperparams fields a terminal's severity model depends on: all
+# but those that only shape the tree.
+_SEVERITY_FIELDS = tuple(
+    f.name for f in fields(HybridHyperparams) if f.name not in {g.name for g in fields(TreeHyperparams)}
+)
+
+
 def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     """Two-stage fit: grow + prune the occurrence tree, then attach
     severity models to the terminals.
@@ -145,12 +153,19 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     Severity fits use every row routed to the terminal, zeros included.
     An OLS terminal whose design is rank deficient falls back to the node
     mean with a logged warning. ``seed`` feeds the per-node penalty
-    cross-validation when glm_lambda is "lambda.min".
+    cross-validation when glm_lambda is "lambda.min". Each terminal's row
+    and zero counts are tallied over the routed rows at once, so a zero
+    terminal is decided without gathering its rows.
 
     Inside a :func:`claimtree.cart.tree_reuse` block, a tree already grown
     on this same ``ds`` object with a maxdepth at least as large and a
     minsplit at least as small is truncated instead of grown again, which
-    gives the same tree; a tree that is grown is kept for later fits.
+    gives the same tree; a tree that is grown is kept for later fits. The
+    block's cache (:func:`claimtree.cart.kept_cache`) then also holds the
+    encoded matrix of ``ds`` and every non-zero terminal's severity model,
+    keyed by terminal id, the settings outside the tree and ``seed``: a
+    terminal is the same node with the same rows in every tree cut from
+    the kept one, so later fits reuse the model it was given.
     """
     if ds.n == 0:
         raise ValueError("cannot fit on an empty dataset")
@@ -161,19 +176,32 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
         keep_tree(ds, full)
     tree = prune(full, cp_to_alpha(full, hp.cp))
 
-    X, names = feature_matrix(ds)
+    cache = kept_cache(ds)
+    if "features" not in cache:
+        cache["features"] = feature_matrix(ds)
+    X, names = cache["features"]
     y = ds.response
     slot = tree.terminal_slots(X)
+    terminals = tree.terminal_ids()
+    # Every terminal holds rows of ds, on which the tree was grown, and
+    # zeros / count has the bits of (y_node == 0).mean().
+    count = np.bincount(slot, minlength=len(terminals))
+    shares = np.bincount(slot, weights=y == 0.0, minlength=len(terminals)) / count
+    # repr tells 1 from 1.0, which a stored penalty would show
+    severity = repr([getattr(hp, name) for name in _SEVERITY_FIELDS])
 
     node_models: dict[int, NodeModel] = {}
     zero_fractions: dict[int, float] = {}
-    for j, tid in enumerate(tree.terminal_ids()):
-        rows = np.flatnonzero(slot == j)
-        y_node = y[rows]
-        zero_fractions[tid] = float((y_node == 0.0).mean()) if rows.size else 1.0
-        node_models[tid] = _fit_node_model(
-            X[rows], y_node, names, tree.nodes[tid].beta_f, zero_fractions[tid], hp, seed, tid
-        )
+    for j, tid in enumerate(terminals):
+        zero_fractions[tid] = float(shares[j])
+        # Precedence: the majority-no-claim gate, then the zero rule.
+        if tree.nodes[tid].beta_f == 0 or zero_fractions[tid] > hp.zero_threshold:
+            node_models[tid] = NodeModel(kind="zero")
+            continue
+        key = (tid, severity, seed)
+        if key not in cache:
+            cache[key] = _fit_node_model(X, y, np.flatnonzero(slot == j), names, hp, seed, tid)
+        node_models[tid] = cache[key]
     return HybridModel(
         tree=tree,
         node_models=node_models,
@@ -184,14 +212,17 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     )
 
 
-def _fit_node_model(X_node, y_node, names, beta_f, zero_fraction, hp, seed, tid) -> NodeModel:
-    # Precedence: majority-no-claim gate, then the zero rule, then size and
-    # constant columns; a rank-deficient OLS design falls back to the mean.
-    if beta_f == 0 or zero_fraction > hp.zero_threshold:
-        return NodeModel(kind="zero")
+def _fit_node_model(X, y, rows, names, hp, seed, tid) -> NodeModel:
+    # A terminal that is not zero: the node mean when the node is too small
+    # for a regression or constant in every column, otherwise a linear fit;
+    # a rank-deficient OLS design falls back to the mean.
+    y_node = y[rows]
     mean = NodeModel(kind="mean", value=float(y_node.mean()))
+    if rows.size < hp.min_node_for_linear:
+        return mean
+    X_node = X[rows]
     active = np.flatnonzero(nonconstant_columns(X_node))
-    if y_node.size < hp.min_node_for_linear or active.size == 0:
+    if active.size == 0:
         return mean
     X_fit = X_node[:, active]
     active_names = [names[j] for j in active]

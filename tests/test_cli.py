@@ -254,6 +254,21 @@ class TestTrain:
         assert code == 2
         assert "row 2, column 'x1': non-finite value inf" in capsys.readouterr().err
 
+    def test_negative_count_is_data_error(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "x1", "kind": "continuous"}, {"name": "k", "kind": "count"},
+            {"name": "y", "kind": "response"},
+        ]}), encoding="utf-8")
+        data = tmp_path / "d.csv"
+        data.write_text("x1,k,y\n1.0,1.5,2\n2.0,-2,0\n3.0,0,0\n", encoding="utf-8")
+        code = main([
+            "train", "--data", str(data), "--schema", str(schema), "--out", str(tmp_path / "m"),
+        ])
+        assert code == 2
+        assert f"{data}: row 2, column 'k': negative count -2.0" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.json").exists()
+
     def test_retrain_byte_identical(self, portfolio, trained, tmp_path):
         out = tmp_path / "again"
         code = main([

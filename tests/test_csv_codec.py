@@ -73,9 +73,9 @@ def reference_load_csv(path, schema):
         )
     for j, col in enumerate(schema):
         for r in range(values.shape[0]):
-            if col.kind == "response" and values[r, j] < 0:
+            if col.kind in ("response", "count") and values[r, j] < 0:
                 raise DataError(
-                    f"{path}: row {r + 1}, column {col.name!r}: negative response {values[r, j]}"
+                    f"{path}: row {r + 1}, column {col.name!r}: negative {col.kind} {values[r, j]}"
                 )
     return Dataset(schema, values)
 

@@ -23,6 +23,7 @@ def write(path, text):
 
 
 SIMPLE_SCHEMA = (Column("x1", "continuous"), Column("y", "response"))
+COUNT_SCHEMA = (Column("x1", "continuous"), Column("k", "count"), Column("y", "response"))
 
 
 class TestLoadCsv:
@@ -68,6 +69,26 @@ class TestLoadCsv:
     def test_negative_response_rejected_in_memory(self):
         with pytest.raises(DataError, match="response column contains negative values"):
             Dataset(SIMPLE_SCHEMA, np.array([[1.0, 2.0], [2.0, -3.0]]))
+
+    def test_negative_count_rejected(self, tmp_path):
+        f = write(tmp_path / "d.csv", "x1,k,y\n1.0,1.5,0\n2.0,-2,3\n3.0,0,0\n")
+        with pytest.raises(DataError, match=rf"^{f}: row 2, column 'k': negative count -2.0$"):
+            load_csv(f, COUNT_SCHEMA)
+
+    def test_negative_count_rejected_in_memory(self):
+        with pytest.raises(DataError, match=r"^column 'k': row 1 holds -2.0, a negative count$"):
+            Dataset(COUNT_SCHEMA, np.array([[1.0, 1.5, 0.0], [2.0, -2.0, 3.0]]))
+
+    def test_negative_cells_are_named_in_schema_order(self, tmp_path):
+        f = write(tmp_path / "d.csv", "y,k,x1\n1,0,1.0\n-1,-2,2.0\n")
+        with pytest.raises(DataError, match=r"row 2, column 'k': negative count -2.0$"):
+            load_csv(f, COUNT_SCHEMA)
+
+    def test_fractional_count_accepted(self, tmp_path):
+        f = write(tmp_path / "d.csv", "x1,k,y\n1.0,1.5,0\n2.0,0.25,3\n3.0,0,0\n")
+        ds = load_csv(f, COUNT_SCHEMA)
+        np.testing.assert_array_equal(ds.column_values("k"), [1.5, 0.25, 0.0])
+        np.testing.assert_array_equal(ds.occurrence, [1, 1, 0])
 
     def test_portfolio_style_schema_has_p8(self, tmp_path):
         """Two continuous drivers plus six binary indicators give p=8."""

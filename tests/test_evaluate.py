@@ -458,3 +458,85 @@ class TestGrowOncePerFold:
         assert [f.split(":")[0] for f in result.cells[1].failures] == ["fold 0", "fold 1", "fold 2"]
         alone = kfold_cv(ds, self.ols_factory({"maxdepth": 8}), k=3, seed=0)
         assert result.cells[0] == replace(alone, params={"maxdepth": 8})
+
+
+class TestFitTerminalsOncePerFold:
+    """Within a grid_search fold, each terminal's severity model and the
+    training set's encoding are made once and shared by every cell."""
+
+    GRID = {"cp": [1e-4, 2e-4], "maxdepth": [8, 10]}
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return simulate(SimConfig(n=400, seed=3)).dataset
+
+    @staticmethod
+    def record(monkeypatch):
+        """Events in call order: ("grow",) when a fold's tree is grown,
+        ("node", terminal id) per severity fit, ("encode", dataset) per
+        encoding by hybrid, and ("fit", training set, model) per cell."""
+        events = []
+        grow_, fit_node, encode = hybrid.grow, hybrid._fit_node_model, hybrid.feature_matrix
+
+        def counting_grow(ds, hp):
+            events.append(("grow",))
+            return grow_(ds, hp)
+
+        def counting_fit_node(X, y, rows, names, hp, seed, tid):
+            events.append(("node", tid))
+            return fit_node(X, y, rows, names, hp, seed, tid)
+
+        def counting_encode(ds):
+            events.append(("encode", ds))
+            return encode(ds)
+
+        monkeypatch.setattr(hybrid, "grow", counting_grow)
+        monkeypatch.setattr(hybrid, "_fit_node_model", counting_fit_node)
+        monkeypatch.setattr(hybrid, "feature_matrix", counting_encode)
+        return events
+
+    @staticmethod
+    def factory(events):
+        def make(params):
+            hp = HybridHyperparams(**{"severity_learner": "ols", **params})
+
+            def learner(ds_train):
+                model = hybrid.fit(ds_train, hp)
+                events.append(("fit", ds_train, model))
+                return lambda ds: hybrid.predict_batch(model, ds)[2]
+
+            return learner
+
+        return make
+
+    @staticmethod
+    def folds(events):
+        """The events of each fold: every fold starts by growing its tree."""
+        starts = [i for i, e in enumerate(events) if e[0] == "grow"] + [len(events)]
+        assert starts[0] == 0
+        return [events[a + 1:b] for a, b in zip(starts, starts[1:])]
+
+    def test_each_non_zero_terminal_is_fitted_once_per_fold(self, ds, monkeypatch):
+        events = self.record(monkeypatch)
+        grid_search(ds, self.GRID, k=5, seed=1, learner_factory=self.factory(events))
+        folds = self.folds(events)
+        assert len(folds) == 5
+        per_cell = 0
+        for fold in folds:
+            fitted = [e[1] for e in fold if e[0] == "node"]
+            models = [e[2] for e in fold if e[0] == "fit"]
+            assert len(models) == 4
+            non_zero = [{t for t, nm in m.node_models.items() if nm.kind != "zero"} for m in models]
+            assert sorted(fitted) == sorted(set().union(*non_zero))
+            per_cell += sum(map(len, non_zero))
+        # cells share terminals: one fit per cell and terminal would be more
+        assert sum(e[0] == "node" for e in events) < per_cell
+
+    def test_training_set_is_encoded_once_per_fold(self, ds, monkeypatch):
+        events = self.record(monkeypatch)
+        grid_search(ds, self.GRID, k=5, seed=1, learner_factory=self.factory(events))
+        for fold in self.folds(events):
+            train = next(e[1] for e in fold if e[0] == "fit")
+            encoded = [e[1] for e in fold if e[0] == "encode"]
+            # once for the fold's training set, then once per cell's predict call
+            assert [d is train for d in encoded] == [True] + [False] * 4

@@ -3,13 +3,14 @@ serialization and the coefficient report."""
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from claimtree.cart import Tree, TreeHyperparams, TreeNode, to_dot, variable_importance
-from claimtree.data import Column, Dataset, feature_matrix
-from claimtree.elastic_net import LinearFit
+from claimtree.cart import Tree, TreeHyperparams, TreeNode, to_dot, tree_reuse, variable_importance
+from claimtree.data import Column, Dataset, feature_matrix, nonconstant_columns
+from claimtree.elastic_net import LinearFit, RankDeficiencyError, fit_ols
 from claimtree.hybrid import (
     HybridHyperparams,
     HybridModel,
@@ -185,6 +186,86 @@ class TestNodeModelAssignment:
         assert len(model.terminal_summaries) == len(model.tree.terminal_ids())
         kinds = {s.model_kind for s in model.terminal_summaries}
         assert kinds <= {"zero", "mean", "linear"}
+
+
+def reference_terminals(model, ds):
+    """Each terminal's zero share and kind, from its own rows one terminal at
+    a time: a terminal is zero by the majority gate or the zero rule, the
+    mean when it is small, constant or rank deficient under OLS, and linear
+    otherwise."""
+    hp = model.hyperparams
+    X, _ = feature_matrix(ds)
+    node = model.tree.classify_batch(X)
+    out = {}
+    for tid in model.tree.terminal_ids():
+        rows = node == tid
+        y_node = ds.response[rows]
+        share = float((y_node == 0.0).mean())
+        active = nonconstant_columns(X[rows])
+        if model.tree.nodes[tid].beta_f == 0 or share > hp.zero_threshold:
+            kind = "zero"
+        elif y_node.size < hp.min_node_for_linear or not active.any():
+            kind = "mean"
+        elif hp.severity_learner == "ols":
+            try:
+                fit_ols(X[rows][:, active], y_node)
+                kind = "linear"
+            except RankDeficiencyError:
+                kind = "mean"
+        else:
+            kind = "linear"
+        out[tid] = (share, kind)
+    return out
+
+
+class TestSeverityStage:
+    """fit decides zero terminals from per-terminal counts, and a tree_reuse
+    block shares a terminal's severity model only between fits that agree on
+    every setting outside the tree and on the seed."""
+
+    BASE = HybridHyperparams(zero_threshold=0.6, glm_lambda="lambda.min", severity_learner="elastic_net")
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return claims_dataset(np.random.default_rng(5), n=800)
+
+    @pytest.mark.parametrize("source", ["claims", "portfolio"])
+    @pytest.mark.parametrize("zero_threshold", [0.0, 0.25, 1.0])
+    def test_zero_shares_and_kinds_match_a_per_terminal_loop(self, ds, source, zero_threshold):
+        if source == "portfolio":
+            ds = simulate(SimConfig(n=400, seed=3)).dataset
+        model = fit(ds, HybridHyperparams(zero_threshold=zero_threshold, severity_learner="ols"))
+        expected = reference_terminals(model, ds)
+        got = {tid: (model.zero_fractions[tid], nm.kind) for tid, nm in model.node_models.items()}
+        assert got == expected  # exact float equality: the shares keep their bits
+
+    @pytest.mark.parametrize("change", [
+        {"zero_threshold": 0.25},
+        {"min_node_for_linear": 1000},
+        {"severity_learner": "ols"},
+        {"glm_which": 0.5},
+        {"glm_lambda": 0.3},
+        {"seed": 4},
+    ], ids=lambda change: next(iter(change)))
+    def test_a_fit_after_one_that_differs_matches_a_fit_outside_any_block(self, ds, change):
+        seed = change.get("seed", 0)
+        other = replace(self.BASE, **{k: v for k, v in change.items() if k != "seed"})
+        expected = to_json(fit(ds, self.BASE))
+        with tree_reuse():
+            fit(ds, other, seed=seed)
+            shared = to_json(fit(ds, self.BASE))
+        assert shared == expected
+
+    def test_a_repeated_fit_in_a_block_matches_a_fit_outside_any_block(self, ds):
+        hp = replace(self.BASE, cp=0.003)
+        expected = to_json(fit(ds, hp))
+        with tree_reuse():
+            first = fit(ds, self.BASE)
+            again = fit(ds, hp)
+        assert to_json(again) == expected
+        # the cp cut keeps some of the first fit's linear terminals, whose models it reuses
+        linear = [t for t, nm in first.node_models.items() if nm.kind == "linear" and t in again.node_models]
+        assert linear and all(again.node_models[t] is first.node_models[t] for t in linear)
 
 
 class TestPredict:
