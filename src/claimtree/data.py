@@ -137,6 +137,12 @@ class Dataset:
     ``values`` has one column per schema entry, in schema order. Categorical
     cells hold the category index. ``p`` is the feature count after dummy
     encoding (k-level categoricals contribute k-1).
+
+    The Dataset copies ``values`` into a read-only float64 array, unless it
+    already is one that owns its memory: such an array is taken as it is,
+    so a producer that has just built a table hands it over by marking it
+    read-only (``setflags(write=False)``). A caller's writable array, view
+    or list is never aliased and never made read-only.
     """
 
     columns: tuple[Column, ...]
@@ -144,7 +150,12 @@ class Dataset:
 
     def __post_init__(self):
         validate_schema(self.columns)
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        if not (
+            type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(self.columns):
             raise DataError("values shape does not match schema")
         object.__setattr__(self, "values", values)
@@ -208,7 +219,11 @@ class Dataset:
         raise DataError(f"no column named {name!r}")
 
     def subset(self, row_idx: np.ndarray) -> "Dataset":
-        return Dataset(self.columns, self.values[row_idx])
+        """The rows ``row_idx`` selects, in its order. Indexing makes the one
+        copy, which the new Dataset keeps (a slice's view is copied by it)."""
+        values = self.values[row_idx]
+        values.setflags(write=False)
+        return Dataset(self.columns, values)
 
 
 def column_from_dict(entry: dict) -> Column:
@@ -261,7 +276,11 @@ def load_csv(path, schema) -> Dataset:
     ``float``. Any other file, any exception from that reader and any row
     count that differs from the pre-scan's (numpy skips blank lines) hand
     the file to the cell-by-cell reader, which alone decides the values or
-    the error.
+    the error. ``np.loadtxt`` reads at most one row more than the pre-scan
+    counted: it allocates the table once, and a file holding more rows than
+    counted still shows a row count that differs.
+
+    The array either reader builds is the Dataset's: it is not copied again.
     """
     schema = validate_schema(schema)
     values = _read_fast(path, schema)
@@ -277,6 +296,7 @@ def load_csv(path, schema) -> Dataset:
         if col.kind in ("response", "count") and (values[:, j] < 0).any():
             r = int(np.argmax(values[:, j] < 0))
             raise DataError(f"{path}: row {r + 1}, column {col.name!r}: negative {col.kind} {values[r, j]}")
+    values.setflags(write=False)
     return Dataset(schema, values)
 
 
@@ -336,7 +356,7 @@ def _read_fast(path, schema) -> np.ndarray | None:
                 warnings.simplefilter("ignore")
                 values = np.loadtxt(
                     fh, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2,
-                    converters=converters, encoding="utf-8",
+                    converters=converters, encoding="utf-8", max_rows=lines,
                 )
         except Exception:  # whatever failed, the cell-by-cell reader decides
             return None

@@ -139,10 +139,12 @@ class HybridModel:
         ]
 
 
-# The HybridHyperparams fields a terminal's severity model depends on: all
-# but those that only shape the tree.
+# The HybridHyperparams fields a non-zero terminal's severity model depends
+# on: all but those that only shape the tree, and zero_threshold, which only
+# decides whether a terminal is zero.
 _SEVERITY_FIELDS = tuple(
-    f.name for f in fields(HybridHyperparams) if f.name not in {g.name for g in fields(TreeHyperparams)}
+    f.name for f in fields(HybridHyperparams)
+    if f.name not in {g.name for g in fields(TreeHyperparams)} | {"zero_threshold"}
 )
 
 
@@ -163,7 +165,8 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     gives the same tree; a tree that is grown is kept for later fits. The
     block's cache (:func:`claimtree.cart.kept_cache`) then also holds the
     encoded matrix of ``ds`` and every non-zero terminal's severity model,
-    keyed by terminal id, the settings outside the tree and ``seed``: a
+    keyed by terminal id, the settings outside the tree but
+    ``zero_threshold`` (which only decides zero terminals) and ``seed``: a
     terminal is the same node with the same rows in every tree cut from
     the kept one, so later fits reuse the model it was given.
     """

@@ -200,7 +200,9 @@ def simulate(config: SimConfig) -> SimulatedPortfolio:
         [Column(name, "continuous") for name in config.feature_names]
         + [Column("claim", "response")]
     )
-    ds = Dataset(columns, np.column_stack([X, total]))
+    values = np.column_stack([X, total])
+    values.setflags(write=False)  # handed to the Dataset, which keeps it
+    ds = Dataset(columns, values)
     return SimulatedPortfolio(
         dataset=ds,
         lam=lam,

@@ -157,6 +157,13 @@ BATTERY = {
     "Arabic-Indic digit": "x1,c,y\n\u0661,lo,0\n",
     "row longer than the header": "x1,c,y\n1.0,lo,0,extra\n2.0,hi,1\n",
     "no final newline": "x1,c,y\n1.0,lo,0\n2.0,hi,1",
+    "blank line before the header": "\nx1,c,y\n1.0,lo,0\n",
+    "blank lines after the header": "x1,c,y\n\n\n1.0,lo,0\n2.0,hi,1\n",
+    "blank lines in the middle": "x1,c,y\n1.0,lo,0\n\n\n2.0,hi,1\n",
+    "blank lines at the end": "x1,c,y\n1.0,lo,0\n2.0,hi,1\n\n\n",
+    "blank line before a last row without a newline": "x1,c,y\n1.0,lo,0\n\n2.0,hi,1",
+    "one row without a final newline": "x1,c,y\n1.0,lo,0",
+    "header-only file without a newline": "x1,c,y",
 }
 
 
@@ -248,6 +255,28 @@ def test_written_files_load_without_the_cell_by_cell_reader(tmp_path, monkeypatc
     clipped = predict_batch(model, ds)[2]
     loaded = load_csv(tmp_path / "p.csv", (Column("clipped", "response"),)).response
     assert loaded.tobytes() == clipped.tobytes()
+
+
+@pytest.mark.parametrize("name", ["well formed", "no final newline", "blank lines in the middle"])
+@pytest.mark.parametrize("miscount", [-1, 1])
+def test_a_wrong_line_count_cannot_hide_rows(tmp_path, monkeypatch, name, miscount):
+    """np.loadtxt reads at most one row more than the pre-scan counted, so a
+    count off by one either way gives a row count that differs from it and
+    the cell-by-cell reader decides."""
+    f = tmp_path / "d.csv"
+    f.write_text(BATTERY[name], encoding="utf-8")
+    count_lines = data._count_lines
+    monkeypatch.setattr(data, "_count_lines", lambda path: count_lines(path) + miscount)
+    read_cells = data._read_cells
+    fallbacks = []
+
+    def spy(path, schema):
+        fallbacks.append(path)
+        return read_cells(path, schema)
+
+    monkeypatch.setattr(data, "_read_cells", spy)
+    assert_same_load(f, SCHEMA)
+    assert fallbacks == [f]
 
 
 def test_write_csv_quotes_as_csv_writer(tmp_path):

@@ -1,5 +1,8 @@
 """Dataset ingestion, encoding and standardization contracts."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from claimtree.data import (
     save_schema,
     standardize_matrix,
 )
+from claimtree.simulate import SimConfig, simulate
 
 
 def write(path, text):
@@ -119,6 +123,72 @@ class TestLoadCsv:
         save_csv(ds, out)
         ds2 = load_csv(out, schema)
         np.testing.assert_array_equal(ds.values, ds2.values)
+
+
+def traced_peak(make):
+    """make()'s result and the peak memory numpy and Python allocated while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = make()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def caller_values():
+    """Values a caller may give a Dataset, none of which it may keep."""
+    base = np.arange(8.0).reshape(4, 2).copy()
+    frozen, frozen32 = base.copy(), base.astype(np.float32)
+    frozen.setflags(write=False)
+    frozen32.setflags(write=False)
+    return {
+        "writable array": base,
+        "view": base[::2],
+        "read-only view": frozen[1:],
+        "read-only float32 array": frozen32,
+        "list": base.tolist(),
+    }
+
+
+class TestOneCopy:
+    """A Dataset keeps a read-only float64 array that owns its memory and
+    copies anything else; subset, load_csv and simulate hand theirs over."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return simulate(SimConfig(n=20_000, seed=7)).dataset
+
+    @pytest.mark.parametrize("kind", sorted(caller_values()))
+    def test_callers_values_are_copied(self, kind):
+        values = caller_values()[kind]
+        writeable = isinstance(values, np.ndarray) and values.flags.writeable
+        ds = Dataset(SIMPLE_SCHEMA, values)
+        assert not ds.values.flags.writeable and ds.values.dtype == np.float64
+        np.testing.assert_array_equal(ds.values, np.asarray(values, dtype=float))
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(ds.values, values)
+            assert values.flags.writeable == writeable
+
+    def test_read_only_owned_array_is_kept(self):
+        values = np.array([[0.0, 1.0], [2.0, 3.0]])
+        values.setflags(write=False)
+        assert Dataset(SIMPLE_SCHEMA, values).values is values
+
+    def test_subset_peak(self, ds):
+        rows = np.random.default_rng(0).permutation(ds.n)[: ds.n // 2]
+        sub, peak = traced_peak(lambda: ds.subset(rows))
+        assert peak <= 1.5 * sub.values.nbytes
+
+    def test_load_csv_peak(self, ds, tmp_path):
+        f = tmp_path / "d.csv"
+        save_csv(ds.subset(np.arange(5000)), f)
+        loaded, peak = traced_peak(lambda: load_csv(f, ds.columns))
+        assert peak <= 1.5 * loaded.values.nbytes
+
+    def test_simulate_peak(self):
+        portfolio, peak = traced_peak(lambda: simulate(SimConfig(n=20_000, seed=7)))
+        assert peak <= 2.5 * portfolio.dataset.values.nbytes
 
 
 class TestSchemaSidecar:

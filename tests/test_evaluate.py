@@ -540,3 +540,18 @@ class TestFitTerminalsOncePerFold:
             encoded = [e[1] for e in fold if e[0] == "encode"]
             # once for the fold's training set, then once per cell's predict call
             assert [d is train for d in encoded] == [True] + [False] * 4
+
+    def test_zero_threshold_does_not_split_the_shared_fits(self, monkeypatch):
+        """zero_threshold only decides which terminals are zero, so a grid over
+        it fits each shared non-zero terminal once per fold: as many fits as
+        the higher threshold's cell alone (whose non-zero terminals include
+        the lower one's), where one fit per cell and terminal made 324."""
+        ds = simulate(SimConfig(n=1000, seed=7)).dataset
+        events = self.record(monkeypatch)
+
+        def fits(grid):
+            events.clear()
+            grid_search(ds, grid, k=5, seed=1, learner_factory=self.factory(events))
+            return sum(e[0] == "node" for e in events)
+
+        assert fits({"zero_threshold": [0.25, 0.5]}) == fits({"zero_threshold": [0.5]}) == 173
