@@ -383,12 +383,16 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _check_out_file(args.out, args.force)
     predictions = load_csv(args.predictions, (Column("clipped", "response"),)).response
-    ds = _load_dataset(args.actuals, args.schema)
-    if predictions.shape[0] != ds.n:
+    # Only the response column of --actuals, as --schema names it, is read
+    # (and only "clipped" of the predictions): other columns are neither
+    # parsed nor checked, so a malformed feature cell does not fail evaluate.
+    response = tuple(col for col in load_schema(args.schema) if col.kind == "response")
+    actuals = load_csv(args.actuals, response).response
+    if len(predictions) != len(actuals):
         raise DataError(
-            f"prediction count {predictions.shape[0]} does not match actuals ({ds.n} rows)"
+            f"prediction count {len(predictions)} does not match actuals ({len(actuals)} rows)"
         )
-    report = compute_metrics(ds.response, predictions)
+    report = compute_metrics(actuals, predictions)
     _write_json(out, report.as_dict())
     print(f"wrote {out} (R^2 {report.r2:.4f}, RMSE {report.rmse:.6g})")
     return 0

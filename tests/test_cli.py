@@ -427,6 +427,68 @@ class TestEvaluate:
         assert f"{pred}: missing column 'clipped'" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _evaluate(portfolio, tmp_path, actuals, out):
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "row,terminal_id,raw,clipped\n" + "".join(f"{i},1,{i / 100},{i / 100}\n" for i in range(400)),
+            encoding="utf-8",
+        )
+        return main([
+            "evaluate", "--predictions", str(pred), "--actuals", str(actuals),
+            "--schema", str(portfolio / "schema.json"), "--out", str(out),
+        ])
+
+    @staticmethod
+    def _edited_actuals(portfolio, tmp_path, row, edits):
+        """portfolio.csv with the cells ``edits`` ({column: text}) of data row ``row`` replaced."""
+        lines = (portfolio / "portfolio.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        cells = lines[row].split(",")
+        for name, text in edits.items():
+            cells[header.index(name)] = text
+        lines[row] = ",".join(cells)
+        actuals = tmp_path / "actuals.csv"
+        actuals.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return actuals
+
+    @pytest.mark.parametrize("edits", [
+        {"x1": "abc"},
+        # the quoted cell sends the file to the cell-by-cell reader
+        {"x1": "1_000", "x2": '"0.5"'},
+    ], ids=["abc", "underscore-with-quoted-cell"])
+    def test_feature_columns_of_actuals_are_not_read(self, portfolio, tmp_path, edits):
+        clean = tmp_path / "clean.json"
+        assert self._evaluate(portfolio, tmp_path, portfolio / "portfolio.csv", clean) == 0
+        actuals = self._edited_actuals(portfolio, tmp_path, 3, edits)
+        out = tmp_path / "metrics.json"
+        assert self._evaluate(portfolio, tmp_path, actuals, out) == 0
+        assert out.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("cell, problem", [
+        ("abc", "cannot parse 'abc'"),
+        ("1_000", "cannot parse '1_000'"),
+        ("-1.5", "negative response -1.5"),
+        ("nan", "non-finite value nan"),
+        ("", "missing value"),
+    ])
+    def test_bad_response_cell_is_named(self, portfolio, tmp_path, capsys, cell, problem):
+        actuals = self._edited_actuals(portfolio, tmp_path, 3, {"claim": cell})
+        out = tmp_path / "metrics.json"
+        assert self._evaluate(portfolio, tmp_path, actuals, out) == 2
+        assert f"{actuals}: row 3, column 'claim': {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_actuals_without_response_column_rejected(self, portfolio, tmp_path, capsys):
+        lines = (portfolio / "portfolio.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",claim")
+        actuals = tmp_path / "actuals.csv"
+        actuals.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        assert self._evaluate(portfolio, tmp_path, actuals, out) == 2
+        assert f"{actuals}: missing column 'claim'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTune:
     def test_single_cell_grid(self, portfolio, tmp_path):

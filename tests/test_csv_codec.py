@@ -257,6 +257,23 @@ def test_written_files_load_without_the_cell_by_cell_reader(tmp_path, monkeypatc
     assert loaded.tobytes() == clipped.tobytes()
 
 
+def test_response_column_alone_loads_without_the_cell_by_cell_reader(tmp_path, monkeypatch):
+    """``evaluate`` reads only the response column of a wide portfolio; that
+    read must stay on the np.loadtxt path and give the full read's values."""
+    ds = simulate(SimConfig(n=500, seed=7)).dataset
+    save_csv(ds, tmp_path / "d.csv")
+    full = load_csv(tmp_path / "d.csv", ds.columns)
+
+    def fail(path, schema):
+        raise AssertionError(f"{path} fell back to the cell-by-cell reader")
+
+    monkeypatch.setattr(data, "_read_cells", fail)
+    response = load_csv(tmp_path / "d.csv", (ds.response_column,))
+    assert len(full.columns) == 61
+    assert response.values.shape == (500, 1)
+    assert response.response.tobytes() == full.response.tobytes()
+
+
 @pytest.mark.parametrize("name", ["well formed", "no final newline", "blank lines in the middle"])
 @pytest.mark.parametrize("miscount", [-1, 1])
 def test_a_wrong_line_count_cannot_hide_rows(tmp_path, monkeypatch, name, miscount):
