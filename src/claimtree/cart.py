@@ -8,8 +8,6 @@ the heap convention: root is 1, the children of node m are 2m and 2m+1.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -145,8 +143,8 @@ class Tree:
         after growth (prune and truncate return new trees)."""
         return RoutingTable(self)
 
-    def classify(self, x: np.ndarray) -> tuple[int, int]:
-        """Route one feature row to its terminal; returns (node id, beta_f)."""
+    def classify(self, x: np.ndarray) -> int:
+        """Route one feature row to its terminal; returns the terminal's node id."""
         x = np.asarray(x, dtype=float)
         if x.shape != (len(self.feature_names),):
             raise ValueError(
@@ -157,7 +155,7 @@ class Tree:
         k = t.root
         while (f := feature[k]) >= 0:
             k = left[k] if x[f] < threshold[k] else right[k]
-        return t.node_id_list[k], t.beta_f_list[k]
+        return t.node_id_list[k]
 
     def terminal_slots(self, X: np.ndarray) -> np.ndarray:
         """For every row of X, the index of its terminal in ``terminal_ids()``."""
@@ -187,7 +185,7 @@ class RoutingTable:
     ``MAX_DEPTH``), and the position a row reaches is its terminal slot.
     ``root`` is the root's position, where every walk starts. Per position
     the table holds the split feature (-1 at a terminal), the threshold,
-    both children, the heap id and beta_f. The children sit in ``child`` at
+    both children and the heap id. The children sit in ``child`` at
     ``2k + 1`` (left) and ``2k`` (right), and a terminal's are itself, so a
     row at k moves to ``child[2k + (x[feature[k]] < threshold[k])]``;
     ``depth`` such steps take every row to its terminal. A NaN compares
@@ -206,7 +204,6 @@ class RoutingTable:
         self.feature_list, self.threshold_list = feature, threshold
         self.left_list, self.right_list = left, right
         self.node_id_list = ids
-        self.beta_f_list = [tree.nodes[nid].beta_f for nid in ids]
         self.root = at[1]
         self.depth = max(ids).bit_length() - 1
         self.feature = np.array(feature, dtype=np.intp)
@@ -390,7 +387,7 @@ def truncate(tree: Tree, hyperparams: TreeHyperparams) -> Tree:
     are copied and kept in pre-order; the result carries ``hyperparams``,
     cp included. Raises ValueError when ``tree`` cannot produce them.
     """
-    if not _covers(tree.hyperparams, hyperparams):
+    if not covers(tree.hyperparams, hyperparams):
         raise ValueError(
             f"a tree grown with {tree.hyperparams} cannot be truncated to {hyperparams}"
         )
@@ -406,64 +403,13 @@ def truncate(tree: Tree, hyperparams: TreeHyperparams) -> Tree:
     return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=hyperparams)
 
 
-def _covers(grown: TreeHyperparams, wanted: TreeHyperparams) -> bool:
+def covers(grown: TreeHyperparams, wanted: TreeHyperparams) -> bool:
     """Whether a tree grown with ``grown`` can be truncated to ``wanted``."""
     return (
         grown.impurity == wanted.impurity
         and grown.maxdepth >= wanted.maxdepth
         and grown.minsplit <= wanted.minsplit
     )
-
-
-# [dataset, tree, cache] kept by the innermost ``tree_reuse`` block; None
-# outside every block, so nothing is kept there.
-_kept: ContextVar[list | None] = ContextVar("claimtree_kept_tree", default=None)
-
-
-@contextmanager
-def tree_reuse():
-    """A block within which one grown tree, and a cache that goes with it,
-    are kept for reuse.
-
-    Inside it, :func:`reused_tree` cuts the kept tree to a request on the
-    same ``Dataset`` object (datasets are immutable, so the same object
-    means the same rows), and :func:`keep_tree` replaces the kept tree and
-    empties its cache. :func:`kept_cache` gives that cache to fits on the
-    same object: any pruned or truncated cut of the kept tree holds each of
-    its terminals with exactly that node's rows, so what a fit derives from
-    a node's rows alone can be stored there for the block's later fits.
-    Both are released when the block ends; outside every block nothing is
-    kept.
-    """
-    token = _kept.set([None, None, {}])
-    try:
-        yield
-    finally:
-        _kept.reset(token)
-
-
-def reused_tree(ds: Dataset, hyperparams: TreeHyperparams) -> Tree | None:
-    """The kept tree truncated to ``hyperparams``, or None when no tree is
-    kept for ``ds`` or the kept one does not cover them."""
-    slot = _kept.get()
-    if slot is None or slot[0] is not ds or not _covers(slot[1].hyperparams, hyperparams):
-        return None
-    return truncate(slot[1], hyperparams)
-
-
-def keep_tree(ds: Dataset, tree: Tree) -> None:
-    """Keep ``tree``, grown on ``ds``, with an empty cache for the rest of
-    the current :func:`tree_reuse` block; outside every block, do nothing."""
-    slot = _kept.get()
-    if slot is not None:
-        slot[:] = ds, tree, {}
-
-
-def kept_cache(ds: Dataset) -> dict:
-    """The cache kept with the tree grown on ``ds``; a fresh dict that
-    nothing keeps when no tree is kept for ``ds`` or outside every block."""
-    slot = _kept.get()
-    return slot[2] if slot is not None and slot[0] is ds else {}
 
 
 def prune(tree: Tree, alpha: float) -> Tree:

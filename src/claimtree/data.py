@@ -264,10 +264,11 @@ def save_schema(columns, path) -> None:
 def load_csv(path, schema) -> Dataset:
     """Parse a header-row CSV into a Dataset according to ``schema``.
 
-    Rejects missing columns, missing values, unparseable or non-finite
-    numbers, unknown category labels and negative responses or counts (a
-    fractional count is accepted); error messages name the data row
-    (1-based) and column. A number is what ``float`` reads, except the
+    Rejects missing columns, a schema column that the header names more
+    than once (other columns may repeat), missing values, unparseable or
+    non-finite numbers, unknown category labels and negative responses or
+    counts (a fractional count is accepted); error messages name the data
+    row (1-based) and column. A number is what ``float`` reads, except the
     Python literal forms with ``_`` (``1_000``), which no CSV writer
     produces.
 
@@ -345,6 +346,8 @@ def _read_fast(path, schema) -> np.ndarray | None:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             header = next(csv.reader(fh))
+            if any(header.count(col.name) > 1 for col in schema):
+                return None  # the cell-by-cell reader rejects the duplicate
             usecols = [header.index(col.name) for col in schema]
             converters = {
                 pos: (lambda cell, index=_label_index(col): index[cell.strip()])
@@ -380,7 +383,8 @@ def _records(path, fh):
 
 def _read_cells(path, schema) -> np.ndarray:
     """The values of every data row, parsed cell by cell; raises the
-    DataError naming the first bad row, or the header's missing column."""
+    DataError naming the first bad row, or a schema column that the header
+    lacks or names more than once."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _records(path, fh)
         try:
@@ -391,6 +395,8 @@ def _read_cells(path, schema) -> np.ndarray:
         for col in schema:
             if col.name not in header:
                 raise DataError(f"{path}: missing column {col.name!r}")
+            if header.count(col.name) > 1:
+                raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
             rules.append((header.index(col.name), _label_index(col).__getitem__ if col.categories else float))
         # float reads "1_000" as 1000.0. One search of the whole record finds
         # any "_"; only then are its numeric cells searched, as labels and

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cart import tree_reuse
 from .data import DataError, Dataset
+from .hybrid import tree_reuse
 
 log = logging.getLogger(__name__)
 
@@ -194,7 +194,7 @@ def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int) -> CVCell:
     exception is a bug and propagates. This is the one-cell case of
     :func:`grid_search`'s fold-major loop: each fold's train and test
     datasets are built once, and fits within a fold may share one grown
-    tree (:func:`claimtree.cart.tree_reuse`).
+    tree (:func:`claimtree.hybrid.tree_reuse`).
     """
     return _cross_validate(ds, [({}, learner)], k, seed)[0]
 
@@ -211,8 +211,9 @@ def _cross_validate(ds: Dataset, cells: list[tuple[dict, Learner]], k: int, seed
     Folds are the outer loop. Each fold's train and test datasets are built
     once, every cell is fitted on that same pair of objects, deepest cell
     first, and both are dropped before the next fold, so one fold's copies
-    are live at a time. Within a fold the cells share one grown tree and
-    its cache (:func:`claimtree.cart.tree_reuse`). Results land in the
+    are live at a time. Within a fold the cells share one grown tree, the
+    training set's encoding and the terminals' severity models
+    (:func:`claimtree.hybrid.tree_reuse`). Results land in the
     cells' own order, each cell's fold results and failures in fold order.
     """
     folds = fold_indices(ds.n, k, seed)
@@ -266,10 +267,10 @@ def grid_search(
     The search runs fold-major: each fold's datasets are built once and
     every cell is fitted on them, deepest cell first (maxdepth descending,
     then minsplit ascending). A hybrid learner grows the fold's tree once,
-    in the first cell, and the later cells truncate it
-    (:func:`claimtree.cart.truncate`), which gives the tree they would
-    grow; the fold's training set is encoded once and a terminal that cells
-    share is fitted once for each set of severity settings. Cells, their
+    in the first cell, and the later cells truncate it, which gives the
+    tree they would grow; the fold's training set is encoded once and a
+    terminal that cells share is fitted once for each set of severity
+    settings (:func:`claimtree.hybrid.tree_reuse`). Cells, their
     fold results and failures keep grid order.
     """
     if not grid:

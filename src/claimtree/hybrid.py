@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .cart import (
-    Tree, TreeHyperparams, cp_to_alpha, grow, keep_tree, kept_cache, prune, reused_tree, tree_from_dict,
-    tree_to_dict,
+    Tree, TreeHyperparams, covers, cp_to_alpha, grow, prune, tree_from_dict, tree_to_dict, truncate,
 )
 from .data import (
     Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, json_text,
@@ -148,6 +149,44 @@ _SEVERITY_FIELDS = tuple(
 )
 
 
+@dataclass
+class _Shared:
+    """What the fits in one :func:`tree_reuse` block share: the tree last
+    grown there, the dataset it was grown on, that dataset's encoding and
+    the severity models of the tree's non-zero terminals, keyed by terminal
+    id, the severity settings and the seed. Empty until the block's first
+    grow."""
+
+    ds: Dataset | None = None
+    tree: Tree | None = None
+    features: tuple[np.ndarray, list[str]] | None = None
+    node_models: dict[tuple[int, str, int], NodeModel] = field(default_factory=dict)
+
+
+# The innermost tree_reuse block's record; None outside every block, so
+# nothing is kept there.
+_shared: ContextVar[_Shared | None] = ContextVar("claimtree_shared", default=None)
+
+
+@contextmanager
+def tree_reuse():
+    """A block within which :func:`fit` shares one grown tree, and what it
+    derives from that tree's rows, between fits on the same ``Dataset``.
+
+    Datasets are immutable, so the same object means the same rows. Any
+    pruned or truncated cut of the kept tree holds each of its terminals
+    with exactly that node's rows, so a severity model fitted on a node's
+    rows serves the block's later fits. A nested block keeps its own record
+    and leaves the outer one as it was; the record is released when the
+    block ends, also when its body raises.
+    """
+    token = _shared.set(_Shared())
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     """Two-stage fit: grow + prune the occurrence tree, then attach
     severity models to the terminals.
@@ -159,30 +198,29 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     and zero counts are tallied over the routed rows at once, so a zero
     terminal is decided without gathering its rows.
 
-    Inside a :func:`claimtree.cart.tree_reuse` block, a tree already grown
-    on this same ``ds`` object with a maxdepth at least as large and a
-    minsplit at least as small is truncated instead of grown again, which
-    gives the same tree; a tree that is grown is kept for later fits. The
-    block's cache (:func:`claimtree.cart.kept_cache`) then also holds the
-    encoded matrix of ``ds`` and every non-zero terminal's severity model,
-    keyed by terminal id, the settings outside the tree but
-    ``zero_threshold`` (which only decides zero terminals) and ``seed``: a
-    terminal is the same node with the same rows in every tree cut from
-    the kept one, so later fits reuse the model it was given.
+    Inside a :func:`claimtree.hybrid.tree_reuse` block, a tree already
+    grown on this same ``ds`` object with a maxdepth at least as large and
+    a minsplit at least as small is truncated instead of grown again, which
+    gives the same tree; a tree that is grown takes the place of the one
+    the block kept. The block's record (``_Shared``) also holds the encoded
+    matrix of ``ds`` and every non-zero terminal's severity model, keyed by
+    terminal id, the settings outside the tree but ``zero_threshold``
+    (which only decides zero terminals) and ``seed``: a terminal is the
+    same node with the same rows in every tree cut from the kept one, so
+    later fits reuse the model it was given.
     """
     if ds.n == 0:
         raise ValueError("cannot fit on an empty dataset")
     tree_hp = hp.tree_hyperparams()
-    full = reused_tree(ds, tree_hp)
-    if full is None:
+    shared = _shared.get() or _Shared()  # outside every block, a record nothing keeps
+    if shared.ds is ds and covers(shared.tree.hyperparams, tree_hp):
+        full = truncate(shared.tree, tree_hp)
+    else:
         full = grow(ds, tree_hp)
-        keep_tree(ds, full)
+        shared.ds, shared.tree, shared.features, shared.node_models = ds, full, feature_matrix(ds), {}
     tree = prune(full, cp_to_alpha(full, hp.cp))
 
-    cache = kept_cache(ds)
-    if "features" not in cache:
-        cache["features"] = feature_matrix(ds)
-    X, names = cache["features"]
+    X, names = shared.features
     y = ds.response
     slot = tree.terminal_slots(X)
     terminals = tree.terminal_ids()
@@ -202,9 +240,9 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
             node_models[tid] = NodeModel(kind="zero")
             continue
         key = (tid, severity, seed)
-        if key not in cache:
-            cache[key] = _fit_node_model(X, y, np.flatnonzero(slot == j), names, hp, seed, tid)
-        node_models[tid] = cache[key]
+        if key not in shared.node_models:
+            shared.node_models[key] = _fit_node_model(X, y, np.flatnonzero(slot == j), names, hp, seed, tid)
+        node_models[tid] = shared.node_models[key]
     return HybridModel(
         tree=tree,
         node_models=node_models,
@@ -274,7 +312,7 @@ def predict_batch(model: HybridModel, ds: Dataset):
 def predict(model: HybridModel, x: np.ndarray) -> float:
     """Predict one encoded feature row; negative values clip to 0."""
     x = np.asarray(x, dtype=float)
-    nm = model.node_models[model.tree.classify(x)[0]]
+    nm = model.node_models[model.tree.classify(x)]
     raw = nm.value if nm.fit is None else nm.predict(x[None, :])[0]
     return max(float(raw), 0.0)
 

@@ -721,16 +721,16 @@ class TestClassify:
     def test_root_only(self):
         ds = make_dataset(np.arange(6.0)[:, None], [1, 1, 1, 1, 0, 0])
         tree = grow(ds, TreeHyperparams(maxdepth=1, minsplit=100))
-        nid, beta = tree.classify(np.array([3.0]))
-        assert nid == 1 and beta == 1
+        nid = tree.classify(np.array([3.0]))
+        assert nid == 1 and tree.nodes[nid].beta_f == 1
 
     def test_stump_routing(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         tree = grow(make_dataset(X, [0, 0, 1, 1]), TreeHyperparams(maxdepth=1, minsplit=2))
-        nid, beta = tree.classify(np.array([1.0]))
-        assert nid == 2 and beta == 0
-        nid, beta = tree.classify(np.array([3.7]))
-        assert nid == 3 and beta == 1
+        nid = tree.classify(np.array([1.0]))
+        assert nid == 2 and tree.nodes[nid].beta_f == 0
+        nid = tree.classify(np.array([3.7]))
+        assert nid == 3 and tree.nodes[nid].beta_f == 1
 
     def test_partition_of_random_rows(self):
         rng = np.random.default_rng(8)
@@ -742,7 +742,7 @@ class TestClassify:
         assert assigned.shape == (1000,)
         terminals = set(tree.terminal_ids())
         assert set(np.unique(assigned)) <= terminals
-        singles = np.array([tree.classify(row)[0] for row in fresh])
+        singles = np.array([tree.classify(row) for row in fresh])
         np.testing.assert_array_equal(assigned, singles)
 
     def test_matches_reference_router_on_a_portfolio(self):
@@ -759,9 +759,7 @@ class TestClassify:
         for batch in (X, np.ascontiguousarray(X), wide[:, :X.shape[1]], wide[:, X.shape[1]:]):
             np.testing.assert_array_equal(tree.classify_batch(batch), want)
         np.testing.assert_array_equal(tree.classify_batch(X[::-3]), want[::-3])
-        assert [tree.classify(row) for row in X[:300]] == [
-            (int(nid), tree.nodes[nid].beta_f) for nid in want[:300]
-        ]
+        assert [tree.classify(row) for row in X[:300]] == want[:300].tolist()
 
     def test_nan_goes_right(self):
         tree = random_tree(np.random.default_rng(3), maxdepth=6)
@@ -770,7 +768,7 @@ class TestClassify:
             nid = 2 * nid + 1
         nan_rows = np.full((2, 3), np.nan)
         np.testing.assert_array_equal(tree.classify_batch(nan_rows), [nid, nid])
-        assert tree.classify(nan_rows[0])[0] == nid
+        assert tree.classify(nan_rows[0]) == nid
 
     def test_routing_table_is_not_a_tree_field(self):
         tree = random_tree(np.random.default_rng(4), maxdepth=6)

@@ -489,6 +489,30 @@ class TestEvaluate:
         assert f"{actuals}: missing column 'claim'" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _actuals_with_extra_column(portfolio, tmp_path, name):
+        """portfolio.csv with one more column, named ``name``, holding -7.0 throughout."""
+        lines = (portfolio / "portfolio.csv").read_text(encoding="utf-8").splitlines()
+        actuals = tmp_path / "actuals.csv"
+        rows = "".join(f"{line},-7.0\n" for line in lines[1:])
+        actuals.write_text(f"{lines[0]},{name}\n{rows}", encoding="utf-8")
+        return actuals
+
+    def test_actuals_naming_the_response_twice_rejected(self, portfolio, tmp_path, capsys):
+        actuals = self._actuals_with_extra_column(portfolio, tmp_path, "claim")
+        out = tmp_path / "metrics.json"
+        assert self._evaluate(portfolio, tmp_path, actuals, out) == 2
+        assert f"{actuals}: column 'claim' appears more than once in the header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicated_feature_name_in_actuals_is_not_read(self, portfolio, tmp_path):
+        clean = tmp_path / "clean.json"
+        assert self._evaluate(portfolio, tmp_path, portfolio / "portfolio.csv", clean) == 0
+        actuals = self._actuals_with_extra_column(portfolio, tmp_path, "x1")
+        out = tmp_path / "metrics.json"
+        assert self._evaluate(portfolio, tmp_path, actuals, out) == 0
+        assert out.read_bytes() == clean.read_bytes()
+
 
 class TestTune:
     def test_single_cell_grid(self, portfolio, tmp_path):

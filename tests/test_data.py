@@ -48,6 +48,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing column 'x1'"):
             load_csv(f, SIMPLE_SCHEMA)
 
+    @pytest.mark.parametrize("text", [
+        "x1,y,y\n1.0,5.0,-7.0\n2.0,0.0,abc\n",
+        # the quoted cell sends the file straight to the cell-by-cell reader
+        'x1,y,y\n1.0,5.0,-7.0\n2.0,"0.0",abc\n',
+    ], ids=["fast-reader", "cell-reader"])
+    def test_schema_column_named_twice_rejected(self, tmp_path, text):
+        f = write(tmp_path / "d.csv", text)
+        with pytest.raises(DataError, match=rf"^{f}: column 'y' appears more than once in the header$"):
+            load_csv(f, SIMPLE_SCHEMA)
+
+    def test_column_outside_the_schema_may_repeat(self, tmp_path):
+        f = write(tmp_path / "d.csv", "x1,note,note,y\n1.0,a,b,5.0\n2.0,c,d,0.0\n")
+        np.testing.assert_array_equal(load_csv(f, SIMPLE_SCHEMA).values, [[1.0, 5.0], [2.0, 0.0]])
+
     def test_missing_value_rejected(self, tmp_path):
         f = write(tmp_path / "d.csv", "x1,y\n1.0,0\n,3\n")
         with pytest.raises(DataError, match=r"row 2.*missing value"):

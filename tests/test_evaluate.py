@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from claimtree import hybrid
-from claimtree.cart import grow, tree_reuse
+from claimtree.cart import grow
 from claimtree.data import Column, DataError, Dataset
 from claimtree.evaluate import (
     UndefinedMetricError,
@@ -28,7 +28,7 @@ from claimtree.evaluate import (
     rescale,
     rmse,
 )
-from claimtree.hybrid import HybridHyperparams
+from claimtree.hybrid import HybridHyperparams, tree_reuse
 from claimtree.simulate import SimConfig, simulate
 
 
@@ -458,6 +458,42 @@ class TestGrowOncePerFold:
         assert [f.split(":")[0] for f in result.cells[1].failures] == ["fold 0", "fold 1", "fold 2"]
         alone = kfold_cv(ds, self.ols_factory({"maxdepth": 8}), k=3, seed=0)
         assert result.cells[0] == replace(alone, params={"maxdepth": 8})
+
+
+class TestTreeReuseBlocks:
+    """A tree_reuse block keeps its own record: a nested block leaves the
+    outer one's tree as it was, and a block whose body raises releases its
+    record."""
+
+    HP = HybridHyperparams(severity_learner="ols", maxdepth=8)
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return simulate(SimConfig(n=400, seed=3)).dataset
+
+    def test_an_inner_block_does_not_replace_the_outer_tree(self, ds, monkeypatch):
+        calls = TestGrowOncePerFold.count_grows(monkeypatch)
+        wanted = replace(self.HP, maxdepth=6, cp=0.003)
+        expected = hybrid.to_json(hybrid.fit(ds, wanted))
+        del calls[:]
+        with tree_reuse():
+            hybrid.fit(ds, self.HP)
+            with tree_reuse():
+                # the inner block starts empty, so it grows, and keeps a tree
+                # too shallow for the outer block's next request
+                hybrid.fit(ds, replace(self.HP, maxdepth=4))
+            got = hybrid.to_json(hybrid.fit(ds, wanted))
+        assert [hp.maxdepth for hp in calls] == [8, 4]  # the last fit cut the outer tree
+        assert got == expected
+
+    def test_a_block_that_raises_releases_its_record(self, ds, monkeypatch):
+        calls = TestGrowOncePerFold.count_grows(monkeypatch)
+        with pytest.raises(RuntimeError, match="body failed"):
+            with tree_reuse():
+                hybrid.fit(ds, self.HP)
+                raise RuntimeError("body failed")
+        hybrid.fit(ds, self.HP)
+        assert len(calls) == 2
 
 
 class TestFitTerminalsOncePerFold:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from claimtree.cart import Tree, TreeHyperparams, TreeNode, to_dot, tree_reuse, variable_importance
+from claimtree.cart import Tree, TreeHyperparams, TreeNode, to_dot, variable_importance
 from claimtree.data import Column, Dataset, feature_matrix, nonconstant_columns
 from claimtree.elastic_net import LinearFit, RankDeficiencyError, fit_ols
 from claimtree.hybrid import (
@@ -24,6 +24,7 @@ from claimtree.hybrid import (
     predict_batch,
     save,
     to_json,
+    tree_reuse,
 )
 from claimtree.simulate import SimConfig, simulate
 
@@ -366,7 +367,7 @@ class TestSingleRowAgainstBatch:
         exact = kinds != "linear"
         np.testing.assert_array_equal(single[exact], clipped[exact])
         np.testing.assert_allclose(single[~exact], clipped[~exact], rtol=1e-9, atol=1e-9)
-        assert [model.tree.classify(x)[0] for x in X] == tids.tolist()
+        assert [model.tree.classify(x) for x in X] == tids.tolist()
 
         save(model, tmp_path / "model.json")
         back = load(tmp_path / "model.json")

@@ -48,7 +48,7 @@ def test_flat_table_routes_as_the_stack_router(case):
         got = tree.classify_batch(batch)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
-    assert [tree.classify(row) for row in X] == [(int(t), tree.nodes[t].beta_f) for t in want]
+    assert [tree.classify(row) for row in X] == want.tolist()
     loaded = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))))
     np.testing.assert_array_equal(loaded.classify_batch(X), want)
     for t in (tree, loaded):
