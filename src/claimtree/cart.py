@@ -312,6 +312,11 @@ def _score_sorted(XT, order, y, impurity):
     return best, parent - best_score
 
 
+def _searchable(hp: TreeHyperparams, depth: int, n: int, n_positive: int) -> bool:
+    """Whether a node at ``depth`` with ``n`` rows, ``n_positive`` of them claims, is searched for a split."""
+    return depth < hp.maxdepth and n >= hp.minsplit and 0 < n_positive < n
+
+
 def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
     """Grow a fully developed occurrence tree by recursive binary splitting.
 
@@ -335,17 +340,14 @@ def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
     root_n = ds.n
     nodes: dict[int, TreeNode] = {}
 
-    def searchable(depth: int, n: int, n_positive: int) -> bool:
-        return (
-            depth < hyperparams.maxdepth and n >= hyperparams.minsplit and 0 < n_positive < n
-        )
-
     # Depth-first in pre-order. A node that cannot be split carries no
     # order, and a parent's order is dropped when its first child is popped:
     # the pending right siblings on the stack hold disjoint rows, so the
-    # live orders total at most one (p, N) array.
+    # live orders total at most one (p, N) array. No name holds the root's.
     pos_root = int(y.sum())
-    stack = [(1, 0, root_n, pos_root, _presort(XT) if searchable(0, root_n, pos_root) else None)]
+    stack = [
+        (1, 0, root_n, pos_root, _presort(XT) if _searchable(hyperparams, 0, root_n, pos_root) else None)
+    ]
     while stack:
         nid, depth, n, n_positive, order = stack.pop()
         node = TreeNode(id=nid, n_node=n, n_positive=n_positive)
@@ -361,8 +363,8 @@ def grow(ds: Dataset, hyperparams: TreeHyperparams | None = None) -> Tree:
         left_rows = order[f].compress(XT[f].take(order[f]) < rule.threshold)
         n_left, pos_left = left_rows.size, int(y[left_rows].sum())
         n_right, pos_right = n - n_left, n_positive - pos_left
-        left_ok = searchable(depth + 1, n_left, pos_left)
-        right_ok = searchable(depth + 1, n_right, pos_right)
+        left_ok = _searchable(hyperparams, depth + 1, n_left, pos_left)
+        right_ok = _searchable(hyperparams, depth + 1, n_right, pos_right)
         left = right = None
         if left_ok or right_ok:
             go_left = (XT[f].take(order) < rule.threshold).ravel()
@@ -382,8 +384,8 @@ def truncate(tree: Tree, hyperparams: TreeHyperparams) -> Tree:
     impurity, a maxdepth at least as large and a minsplit at least as
     small. Split choice never depends on maxdepth or minsplit: they only
     decide which nodes are searched. So a kept node becomes terminal when
-    its depth reaches ``hyperparams.maxdepth`` or it holds fewer than
-    ``hyperparams.minsplit`` rows, and its descendants are dropped. Nodes
+    the stop rule (:func:`_searchable`) under ``hyperparams`` does not let
+    it be searched, and its descendants are dropped. Nodes
     are copied and kept in pre-order; the result carries ``hyperparams``,
     cp included. Raises ValueError when ``tree`` cannot produce them.
     """
@@ -396,10 +398,10 @@ def truncate(tree: Tree, hyperparams: TreeHyperparams) -> Tree:
         parent = nodes.get(nid // 2)
         if nid > 1 and (parent is None or parent.is_terminal):
             continue
-        if nd.depth >= hyperparams.maxdepth or nd.n_node < hyperparams.minsplit:
-            nodes[nid] = TreeNode(nid, nd.n_node, nd.n_positive)
-        else:
+        if _searchable(hyperparams, nd.depth, nd.n_node, nd.n_positive):
             nodes[nid] = TreeNode(nid, nd.n_node, nd.n_positive, nd.split, nd.gain)
+        else:
+            nodes[nid] = TreeNode(nid, nd.n_node, nd.n_positive)
     return Tree(nodes=nodes, feature_names=tree.feature_names, hyperparams=hyperparams)
 
 

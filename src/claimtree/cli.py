@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .cart import to_dot
 from .data import (
-    Column, DataError, Dataset, json_text, load_csv, load_schema, require_int, save_csv, save_schema,
-    write_csv,
+    Column, DataError, Dataset, load_csv, load_schema, require_int, save_csv, save_schema, write_csv,
+    write_json,
 )
 from .elastic_net import LAMBDA_MIN
 from .evaluate import (
@@ -248,11 +248,6 @@ def _check_out_file(path: str, force: bool) -> Path:
     return out
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload))
-
-
 def _write_manifest(out_dir: Path, command: str, resolved: dict, seed) -> None:
     manifest = {
         "command": command,
@@ -261,7 +256,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, seed) -> None:
         "resolved_config": resolved,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_simulate(args) -> int:
@@ -300,9 +295,8 @@ def cmd_train(args) -> int:
         "n_terminals": len(model.tree.terminal_ids()),
         "terminals": [asdict(s) for s in model.terminal_summaries],
     }
-    _write_json(out / "fit_report.json", report)
-    with open(out / "coefficients.csv", "w", encoding="utf-8") as fh:
-        fh.write(format_coefficient_table(model))
+    write_json(out / "fit_report.json", report)
+    (out / "coefficients.csv").write_text(format_coefficient_table(model), encoding="utf-8")
     _write_manifest(out, "train", {"hyperparams": hp.to_dict(), "data": args.data}, seed)
     print(f"wrote {out / 'model.json'} ({report['n_terminals']} terminals)")
     return 0
@@ -349,7 +343,7 @@ def cmd_tune(args) -> int:
 
     result = grid_search(ds, grid, k=folds, seed=seed, learner_factory=factory)
     winner_hp = {**base.to_dict(), **result.winner.params}
-    _write_json(
+    write_json(
         out / "winner.json",
         {
             "hyperparams": winner_hp,
@@ -357,8 +351,7 @@ def cmd_tune(args) -> int:
             "sd_rmse": result.winner.sd_rmse,
         },
     )
-    with open(out / "cv_table.csv", "w", encoding="utf-8") as fh:
-        fh.write(cv_table_csv(result))
+    (out / "cv_table.csv").write_text(cv_table_csv(result), encoding="utf-8")
     _write_manifest(
         out,
         "tune",
@@ -393,7 +386,7 @@ def cmd_evaluate(args) -> int:
             f"prediction count {len(predictions)} does not match actuals ({len(actuals)} rows)"
         )
     report = compute_metrics(actuals, predictions)
-    _write_json(out, report.as_dict())
+    write_json(out, report.as_dict())
     print(f"wrote {out} (R^2 {report.r2:.4f}, RMSE {report.rmse:.6g})")
     return 0
 
@@ -421,10 +414,8 @@ def cmd_compare(args) -> int:
         tree_model = fit(ds_train, mean_leaf_hp, seed=seed)
         models.append(("mean_leaf_tree", lambda ds, m=tree_model: predict_batch(m, ds)[2]))
     table = comparison_table(models, ds_train, ds_test)
-    with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
-        fh.write(table.to_csv())
-    with open(out / "comparison.svg", "w", encoding="utf-8") as fh:
-        fh.write(comparison_svg(table))
+    (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
+    (out / "comparison.svg").write_text(comparison_svg(table), encoding="utf-8")
     _write_manifest(
         out,
         "compare",
@@ -438,8 +429,7 @@ def cmd_compare(args) -> int:
 def cmd_export_tree(args) -> int:
     out = _check_out_file(args.out, args.force)
     model = load(args.model)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(model.tree))
+    out.write_text(to_dot(model.tree), encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

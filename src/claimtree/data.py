@@ -46,6 +46,14 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def csv_text(rows) -> str:
+    """The report CSVs' text: rows of strings as ``csv.writer`` writes them
+    (quoting a field only when it must), one ``\\n`` per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class Column:
     """One schema entry: a named column with a kind and optional categories."""
@@ -138,6 +146,11 @@ class Dataset:
     cells hold the category index. ``p`` is the feature count after dummy
     encoding (k-level categoricals contribute k-1).
 
+    The one check of a table's values: a non-finite cell anywhere, then,
+    column by column in schema order, a negative response or count and a
+    cell that is not a category index raise :class:`DataError` naming the
+    row (numbered from 1, as a CSV's data rows are) and the column.
+
     The Dataset copies ``values`` into a read-only float64 array, unless it
     already is one that owns its memory: such an array is taken as it is,
     so a producer that has just built a table hands it over by marking it
@@ -159,25 +172,25 @@ class Dataset:
         if values.ndim != 2 or values.shape[1] != len(self.columns):
             raise DataError("values shape does not match schema")
         object.__setattr__(self, "values", values)
-        if not np.isfinite(values).all():
-            raise DataError("dataset contains non-finite values")
-        if (self.response < 0).any():
-            raise DataError("response column contains negative values")
+        finite = np.isfinite(values)
+        if not finite.all():
+            r, j = np.argwhere(~finite)[0]
+            raise DataError(f"row {r + 1}, column {self.columns[j].name!r}: non-finite value {values[r, j]}")
         for j, col in enumerate(self.columns):
-            if col.kind == "count" and (values[:, j] < 0).any():
-                row = int(np.argmax(values[:, j] < 0))
-                raise DataError(
-                    f"column {col.name!r}: row {row} holds {float(values[row, j])!r}, a negative count"
-                )
+            cells = values[:, j]
             if col.kind == "categorical":
-                cells = values[:, j]
                 bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= len(col.categories))
-                if bad.any():
-                    row = int(np.argmax(bad))
-                    raise DataError(
-                        f"column {col.name!r}: row {row} holds {float(cells[row])!r}, "
-                        f"not a category index in [0, {len(col.categories)})"
-                    )
+            elif col.kind in ("response", "count"):
+                bad = cells < 0
+            else:
+                continue
+            if bad.any():
+                r = int(np.argmax(bad))
+                problem = (
+                    f"{cells[r]} is not a category index in [0, {len(col.categories)})"
+                    if col.kind == "categorical" else f"negative {col.kind} {cells[r]}"
+                )
+                raise DataError(f"row {r + 1}, column {col.name!r}: {problem}")
         self.values.setflags(write=False)
 
     @property
@@ -239,6 +252,18 @@ def column_from_dict(entry: dict) -> Column:
     return Column(name, kind, tuple(cats) if cats else None)
 
 
+def column_to_dict(col: Column) -> dict:
+    """A Column as the stored schema entry :func:`column_from_dict` reads."""
+    categories = list(col.categories) if col.categories else None
+    return {"name": col.name, "kind": col.kind, "categories": categories}
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as :func:`json_text`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(payload))
+
+
 def load_schema(path) -> tuple[Column, ...]:
     """Read the JSON schema sidecar: {"columns": [{name, kind, categories?}]}."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -251,26 +276,21 @@ def load_schema(path) -> tuple[Column, ...]:
 
 
 def save_schema(columns, path) -> None:
-    payload = {"columns": []}
-    for c in columns:
-        entry = {"name": c.name, "kind": c.kind}
-        if c.categories:
-            entry["categories"] = list(c.categories)
-        payload["columns"].append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload))
+    """Write the JSON schema sidecar; an entry holds ``categories`` only if it has some."""
+    entries = [{k: v for k, v in column_to_dict(c).items() if v is not None} for c in columns]
+    write_json(path, {"columns": entries})
 
 
 def load_csv(path, schema) -> Dataset:
     """Parse a header-row CSV into a Dataset according to ``schema``.
 
     Rejects missing columns, a schema column that the header names more
-    than once (other columns may repeat), missing values, unparseable or
-    non-finite numbers, unknown category labels and negative responses or
-    counts (a fractional count is accepted); error messages name the data
-    row (1-based) and column. A number is what ``float`` reads, except the
+    than once (other columns may repeat), missing values, unparseable
+    numbers and unknown category labels; error messages name the data row
+    (1-based) and column. A number is what ``float`` reads, except the
     Python literal forms with ``_`` (``1_000``), which no CSV writer
-    produces.
+    produces. A UTF-8 byte-order mark is skipped. :class:`Dataset` checks
+    the values read, and its message gets the file name put before it.
 
     A file that passes a byte pre-scan (see :func:`_count_lines`) is read by
     numpy's C text reader, which parses numbers with the same routine as
@@ -287,18 +307,11 @@ def load_csv(path, schema) -> Dataset:
     values = _read_fast(path, schema)
     if values is None:
         values = _read_cells(path, schema)
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, j = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: row {r + 1}, column {schema[j].name!r}: non-finite value {values[r, j]}"
-        )
-    for j, col in enumerate(schema):
-        if col.kind in ("response", "count") and (values[:, j] < 0).any():
-            r = int(np.argmax(values[:, j] < 0))
-            raise DataError(f"{path}: row {r + 1}, column {col.name!r}: negative {col.kind} {values[r, j]}")
     values.setflags(write=False)
-    return Dataset(schema, values)
+    try:
+        return Dataset(schema, values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # Bytes the pre-scan reads at a time, so it never holds the whole text.
@@ -343,7 +356,7 @@ def _read_fast(path, schema) -> np.ndarray | None:
     lines = _count_lines(path)
     if not lines:
         return None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh))
             if any(header.count(col.name) > 1 for col in schema):
@@ -385,7 +398,7 @@ def _read_cells(path, schema) -> np.ndarray:
     """The values of every data row, parsed cell by cell; raises the
     DataError naming the first bad row, or a schema column that the header
     lacks or names more than once."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _records(path, fh)
         try:
             header = next(reader)

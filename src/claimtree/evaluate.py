@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, csv_text
 from .hybrid import tree_reuse
 
 log = logging.getLogger(__name__)
@@ -288,12 +288,12 @@ def grid_search(
 
 def cv_table_csv(result: CVResult) -> str:
     names = sorted({k for c in result.cells for k in c.params})
-    lines = [",".join(names + ["mean_rmse", "sd_rmse", "valid"])]
+    rows = [names + ["mean_rmse", "sd_rmse", "valid"]]
     for cell in result.cells:
         row = [repr(cell.params.get(n, "")) for n in names]
         row += [repr(cell.mean_rmse), repr(cell.sd_rmse), str(cell.valid).lower()]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return csv_text(rows)
 
 
 def rescale(values: dict[str, float], higher_better: bool, by_abs: bool = False):
@@ -319,13 +319,13 @@ class ComparisonTable:
     rescaled: dict[str, dict[str, dict[str, float]]]  # split -> measure -> model -> [0, 100]
 
     def to_csv(self) -> str:
-        lines = ["split,model," + ",".join(MEASURES) + "," + ",".join(f"{m}_rescaled" for m in MEASURES)]
+        rows = [["split", "model", *MEASURES, *(f"{m}_rescaled" for m in MEASURES)]]
         for split in self.raw:
             for name in self.model_names:
                 cells = [repr(self.raw[split][m][name]) for m in MEASURES]
                 cells += [repr(self.rescaled[split][m][name]) for m in MEASURES]
-                lines.append(f"{split},{name}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+                rows.append([split, name, *cells])
+        return csv_text(rows)
 
 
 def comparison_table(

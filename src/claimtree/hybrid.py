@@ -23,8 +23,8 @@ from .cart import (
     Tree, TreeHyperparams, covers, cp_to_alpha, grow, prune, tree_from_dict, tree_to_dict, truncate,
 )
 from .data import (
-    Column, DataError, Dataset, Standardization, column_from_dict, feature_matrix, json_text,
-    nonconstant_columns, require_int, require_real, validate_schema,
+    Column, DataError, Dataset, Standardization, _encoding, column_from_dict, column_to_dict, csv_text,
+    feature_matrix, json_text, nonconstant_columns, require_int, require_real, validate_schema,
 )
 from .elastic_net import (
     LAMBDA_MIN,
@@ -209,8 +209,6 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     same node with the same rows in every tree cut from the kept one, so
     later fits reuse the model it was given.
     """
-    if ds.n == 0:
-        raise ValueError("cannot fit on an empty dataset")
     tree_hp = hp.tree_hyperparams()
     shared = _shared.get() or _Shared()  # outside every block, a record nothing keeps
     if shared.ds is ds and covers(shared.tree.hyperparams, tree_hp):
@@ -340,14 +338,12 @@ def format_coefficient_table(model: HybridModel) -> str:
     """CSV rendering of :func:`coefficient_report` (blank = not selected)."""
     report = coefficient_report(model)
     tids = sorted(report)
-    rows = ["(Intercept)"] + model.tree.feature_names
-    lines = ["term," + ",".join(f"node_{t}" for t in tids)]
-    for feat in rows:
+    rows = [["term"] + [f"node_{t}" for t in tids]]
+    for feat in ["(Intercept)"] + model.tree.feature_names:
         if feat != "(Intercept)" and not any(feat in report[t] for t in tids):
             continue
-        cells = [repr(report[t][feat]) if feat in report[t] else "" for t in tids]
-        lines.append(",".join([feat] + cells))
-    return "\n".join(lines) + "\n"
+        rows.append([feat] + [repr(report[t][feat]) if feat in report[t] else "" for t in tids])
+    return csv_text(rows)
 
 
 def _node_model_to_dict(nm: NodeModel) -> dict:
@@ -415,10 +411,7 @@ def to_json(model: HybridModel) -> str:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "hyperparams": model.hyperparams.to_dict(),
-        "schema": [
-            {"name": c.name, "kind": c.kind, "categories": list(c.categories) if c.categories else None}
-            for c in model.schema
-        ],
+        "schema": [column_to_dict(c) for c in model.schema],
         "encoded_features": list(model.tree.feature_names),
         "tree": tree_to_dict(model.tree),
         "node_models": {str(tid): _node_model_to_dict(nm) for tid, nm in model.node_models.items()},
@@ -444,7 +437,7 @@ def load(path) -> HybridModel:
     terminal's columns out of range or named otherwise than the tree names
     them, its standardization not one finite center and positive scale per
     coefficient under the same names, a zero fraction outside [0, 1], or
-    stored feature names that are not the tree's.
+    stored or schema-encoded feature names that are not the tree's.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -460,11 +453,10 @@ def load(path) -> HybridModel:
         hp = HybridHyperparams(**payload["hyperparams"])
         schema = validate_schema([column_from_dict(c) for c in payload["schema"]])
         tree = tree_from_dict(payload["tree"])
-        if payload["encoded_features"] != tree.feature_names:
-            raise ModelLoadError(
-                f"malformed model file {path}: encoded_features {payload['encoded_features']} "
-                f"are not the tree's feature names {tree.feature_names}"
-            )
+        encoded = [name for name, _, _ in _encoding(schema)]
+        for what, names in (("encoded_features", payload["encoded_features"]), ("schema features", encoded)):
+            if names != tree.feature_names:
+                raise ValueError(f"{what} {names} are not the tree's feature names {tree.feature_names}")
         if not isinstance(payload["node_models"], dict):
             raise ValueError("node_models must be an object keyed by node id")
         node_models = {
@@ -479,8 +471,8 @@ def load(path) -> HybridModel:
         terminals = set(tree.terminal_ids())
         for key, ids in (("node_models", set(node_models)), ("terminal_summaries", set(zero_fractions))):
             if ids != terminals:
-                raise ModelLoadError(
-                    f"malformed model file {path}: {key} must cover exactly the tree's terminals "
+                raise ValueError(
+                    f"{key} must cover exactly the tree's terminals "
                     f"(missing {sorted(terminals - ids)}, extra {sorted(ids - terminals)})"
                 )
         return HybridModel(

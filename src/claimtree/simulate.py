@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Column, Dataset, require_int, require_real
+from .data import Column, Dataset, csv_text, require_int, require_real
 
 CATEGORY_LEVELS = (-3.0, -2.0, 1.0, 4.0)
 RATE_CAP = 1e12
@@ -94,16 +94,6 @@ class SimConfig:
             "beta_poisson": [float(v) for v in self.beta_poisson],
             "beta_gamma": [float(v) for v in self.beta_gamma],
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SimConfig":
-        kwargs = dict(d)
-        for key in ("beta_poisson", "beta_gamma"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = np.asarray(kwargs[key], dtype=float)
-            else:
-                kwargs.pop(key, None)
-        return SimConfig(**kwargs)
 
 
 @dataclass
@@ -215,10 +205,9 @@ def simulate(config: SimConfig) -> SimulatedPortfolio:
 
 def save_latents_csv(portfolio: SimulatedPortfolio, path) -> None:
     """Sidecar diagnostics: per-row rate, count and severity parameters."""
+    n = portfolio.config.n
+    columns = (range(n), portfolio.lam.tolist(), portfolio.n_claims.tolist(),
+               [float(portfolio.gamma_shape)] * n, portfolio.gamma_rate.tolist())
+    rows = zip(*(map(str, col) for col in columns))  # str of a Python float is its repr
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,lambda,n_claims,gamma_shape,gamma_rate\n")
-        for i in range(portfolio.config.n):
-            fh.write(
-                f"{i},{float(portfolio.lam[i])!r},{int(portfolio.n_claims[i])},"
-                f"{float(portfolio.gamma_shape)!r},{float(portfolio.gamma_rate[i])!r}\n"
-            )
+        fh.write(csv_text([["row", "lambda", "n_claims", "gamma_shape", "gamma_rate"], *rows]))

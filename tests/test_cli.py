@@ -788,6 +788,24 @@ class TestMalformedInputFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_schema_that_does_not_encode_to_the_tree_is_load_error(self, linear_model, tmp_path, capsys):
+        payload = json.loads((linear_model / "m" / "model.json").read_text())
+        payload["schema"][0]["name"] = "q1"  # x1 renamed
+        del payload["schema"][1]  # x2 removed
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(model),
+            "--data", str(linear_model / "sim" / "portfolio.csv"), "--out", str(tmp_path / "p.csv"),
+        ])
+        tree_names = payload["encoded_features"]
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed model file {model}: schema features {['q1'] + tree_names[2:]} "
+            f"are not the tree's feature names {tree_names}\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("which, code, problem", [
         ("model", 2, "cannot read model file"),
         ("config", 1, "cannot read config file"),

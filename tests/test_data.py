@@ -10,6 +10,7 @@ from claimtree.data import (
     Column,
     DataError,
     Dataset,
+    _read_fast,
     feature_matrix,
     load_csv,
     load_schema,
@@ -85,7 +86,7 @@ class TestLoadCsv:
             load_csv(f, SIMPLE_SCHEMA)
 
     def test_negative_response_rejected_in_memory(self):
-        with pytest.raises(DataError, match="response column contains negative values"):
+        with pytest.raises(DataError, match=r"^row 2, column 'y': negative response -3.0$"):
             Dataset(SIMPLE_SCHEMA, np.array([[1.0, 2.0], [2.0, -3.0]]))
 
     def test_negative_count_rejected(self, tmp_path):
@@ -94,8 +95,31 @@ class TestLoadCsv:
             load_csv(f, COUNT_SCHEMA)
 
     def test_negative_count_rejected_in_memory(self):
-        with pytest.raises(DataError, match=r"^column 'k': row 1 holds -2.0, a negative count$"):
+        with pytest.raises(DataError, match=r"^row 2, column 'k': negative count -2.0$"):
             Dataset(COUNT_SCHEMA, np.array([[1.0, 1.5, 0.0], [2.0, -2.0, 3.0]]))
+
+    @pytest.mark.parametrize("schema, rows", [
+        (SIMPLE_SCHEMA, [[1.0, 0.0], [2.0, float("nan")]]),
+        (SIMPLE_SCHEMA, [[1.0, 2.0], [2.0, -3.0]]),
+        (COUNT_SCHEMA, [[1.0, 1.5, 0.0], [2.0, -2.0, 3.0]]),
+    ], ids=["non-finite", "negative-response", "negative-count"])
+    def test_file_message_is_the_path_then_the_dataset_message(self, tmp_path, schema, rows):
+        with pytest.raises(DataError) as in_memory:
+            Dataset(schema, np.array(rows))
+        lines = [",".join(c.name for c in schema)] + [",".join(map(repr, row)) for row in rows]
+        f = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DataError) as from_file:
+            load_csv(f, schema)
+        assert str(from_file.value) == f"{f}: {in_memory.value}"
+
+    @pytest.mark.parametrize("text", ["x1,y\r\n1.0,2.0\r\n", 'x1,y\r\n"1.0",2.0\r\n'],
+                             ids=["fast-reader", "cell-reader"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, text):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        # np.loadtxt reads the first file; the quote hands the second to the cell reader
+        assert (_read_fast(f, SIMPLE_SCHEMA) is None) == ('"' in text)
+        np.testing.assert_array_equal(load_csv(f, SIMPLE_SCHEMA).values, [[1.0, 2.0]])
 
     def test_negative_cells_are_named_in_schema_order(self, tmp_path):
         f = write(tmp_path / "d.csv", "y,k,x1\n1,0,1.0\n-1,-2,2.0\n")
@@ -252,7 +276,8 @@ class TestCategoricalCells:
     @pytest.mark.parametrize("bad", [-1.0, 1.7, 2.0, 0.5])
     def test_non_index_cell_names_column_and_first_bad_row(self, bad):
         values = [[0.0, 1.0], [1.0, 0.0], [bad, 1.0], [bad, 0.0]]
-        with pytest.raises(DataError, match=rf"column 'c': row 2 holds {bad!r}, not a category"):
+        message = rf"^row 3, column 'c': {bad!r} is not a category index in \[0, 2\)$"
+        with pytest.raises(DataError, match=message):
             Dataset(self.COLUMNS, values)
 
 

@@ -52,7 +52,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = SimConfig(n=50, seed=9, noise_sd=0.5)
-        again = SimConfig.from_dict(cfg.to_dict())
+        again = SimConfig(**cfg.to_dict())
         assert again.n == 50 and again.seed == 9 and again.noise_sd == 0.5
         np.testing.assert_array_equal(again.beta_poisson, cfg.beta_poisson)
 
