@@ -48,9 +48,21 @@ def json_text(payload) -> str:
 
 def csv_text(rows) -> str:
     """The report CSVs' text: rows of strings as ``csv.writer`` writes them
-    (quoting a field only when it must), one ``\\n`` per row."""
+    (quoting a field only when it must), one ``\\n`` per row.
+
+    A field holding ``\\n`` or a bare ``\\r`` is quoted, so ``csv.reader``
+    reads each row back as one row.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    # the default dialect quotes a field for either character of its \r\n
+    # terminator; each row's \r\n becomes \n\n, and the next row overwrites
+    # the second \n (the last row's is truncated)
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow(row)
+        buf.seek(buf.tell() - 2)
+        buf.write("\n")
+    buf.truncate()
     return buf.getvalue()
 
 
@@ -152,10 +164,12 @@ class Dataset:
     row (numbered from 1, as a CSV's data rows are) and the column.
 
     The Dataset copies ``values`` into a read-only float64 array, unless it
-    already is one that owns its memory: such an array is taken as it is,
-    so a producer that has just built a table hands it over by marking it
-    read-only (``setflags(write=False)``). A caller's writable array, view
-    or list is never aliased and never made read-only.
+    already is one that owns its memory or is a view of one: such an array
+    is taken as it is, so a producer that has just built a table hands it
+    over by marking it read-only (``setflags(write=False)``), and a view of
+    a Dataset's table shares that table's memory and keeps all of it alive.
+    A caller's writable array, view of writable memory or list is never
+    aliased and never made read-only.
     """
 
     columns: tuple[Column, ...]
@@ -164,9 +178,11 @@ class Dataset:
     def __post_init__(self):
         validate_schema(self.columns)
         values = self.values
+        owner = values if getattr(values, "base", None) is None else values.base
         if not (
-            type(values) is np.ndarray and values.dtype == np.float64
-            and values.flags.owndata and not values.flags.writeable
+            type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable
+            and type(owner) is np.ndarray and owner.dtype == np.float64
+            and owner.flags.owndata and not owner.flags.writeable
         ):
             values = np.array(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(self.columns):
@@ -232,8 +248,20 @@ class Dataset:
         raise DataError(f"no column named {name!r}")
 
     def subset(self, row_idx: np.ndarray) -> "Dataset":
-        """The rows ``row_idx`` selects, in its order. Indexing makes the one
-        copy, which the new Dataset keeps (a slice's view is copied by it)."""
+        """The rows ``row_idx`` selects, in its order.
+
+        A contiguous ascending run of row numbers (a 1-D integer array
+        whose steps are all +1, ``np.arange(a, b)``) gives a view of this
+        table, no copy; the view keeps this whole table alive. Any other
+        selection is copied once, by the indexing, and the new Dataset
+        keeps that copy.
+        """
+        rows = np.asarray(row_idx)
+        if (
+            rows.ndim == 1 and rows.dtype.kind in "iu" and rows.size
+            and rows[0] >= 0 and rows[-1] < self.n and (np.diff(rows) == 1).all()
+        ):
+            return Dataset(self.columns, self.values[rows[0]:rows[-1] + 1])
         values = self.values[row_idx]
         values.setflags(write=False)
         return Dataset(self.columns, values)

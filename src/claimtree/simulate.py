@@ -18,6 +18,8 @@ from .data import Column, Dataset, csv_text, require_int, require_real
 
 CATEGORY_LEVELS = (-3.0, -2.0, 1.0, 4.0)
 RATE_CAP = 1e12
+# Rows of categorical levels gen_features writes per np.take call.
+TAKE_BLOCK = 4096
 
 
 def default_beta_poisson() -> np.ndarray:
@@ -112,16 +114,30 @@ def _ar1_cholesky(p: int, rho: float) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
-def gen_features(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+def gen_features(config: SimConfig, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Feature matrix: correlated normals then iid integer categoricals.
 
     Continuous columns have covariance rho^|i-j| (sampled through the
     Cholesky factor); categorical columns are uniform on {-3, -2, 1, 4}.
+    The draws fill ``out``, an ``(n, p_continuous + p_categorical)`` float64
+    array (a column block of a wider table may be given), or a new array,
+    which is returned.
     """
-    chol = _ar1_cholesky(config.p_continuous, config.rho)
-    cont = rng.standard_normal((config.n, config.p_continuous)) @ chol.T
-    cat = rng.choice(np.array(CATEGORY_LEVELS), size=(config.n, config.p_categorical))
-    return np.hstack([cont, cat])
+    n, pc, pk = config.n, config.p_continuous, config.p_categorical
+    if out is None:
+        out = np.empty((n, pc + pk))
+    chol = _ar1_cholesky(pc, config.rho)
+    # one product over all rows: a row block of one row takes another BLAS
+    # path and can change the last bit
+    np.matmul(rng.standard_normal((n, pc)), chol.T, out=out[:, :pc])
+    # the draws rng.choice(levels, size) makes, in the same order
+    codes = rng.integers(0, len(CATEGORY_LEVELS), size=(n, pk))
+    levels = np.array(CATEGORY_LEVELS)
+    # np.take buffers a strided ``out`` whole, so it fills row blocks
+    for start in range(0, n, TAKE_BLOCK):
+        rows = slice(start, start + TAKE_BLOCK)
+        np.take(levels, codes[rows], out=out[rows, pc:])
+    return out
 
 
 def _log_link_rate(x, beta: np.ndarray, exponent: float, scale: float, label: str):
@@ -172,7 +188,9 @@ def simulate(config: SimConfig) -> SimulatedPortfolio:
     zero claims downstream.
     """
     rng = np.random.default_rng(config.seed)
-    X = gen_features(config, rng)
+    # the Dataset's table: the features are drawn into it, the response set last
+    values = np.empty((config.n, config.p_continuous + config.p_categorical + 1))
+    X = gen_features(config, rng, out=values[:, :-1])
     lam = lambda_of(X, config)
     shape, rate = gamma_params_of(X, config)
     counts = rng.poisson(lam)
@@ -190,7 +208,7 @@ def simulate(config: SimConfig) -> SimulatedPortfolio:
         [Column(name, "continuous") for name in config.feature_names]
         + [Column("claim", "response")]
     )
-    values = np.column_stack([X, total])
+    values[:, -1] = total
     values.setflags(write=False)  # handed to the Dataset, which keeps it
     ds = Dataset(columns, values)
     return SimulatedPortfolio(

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 
-from claimtree.data import Column, Dataset
+from claimtree.data import Column, Dataset, csv_text
 from claimtree.evaluate import comparison_table, cv_table_csv, grid_search
 from claimtree.hybrid import HybridHyperparams, coefficient_report, fit, format_coefficient_table
 from claimtree.simulate import SimConfig, save_latents_csv, simulate
@@ -74,3 +74,18 @@ def test_latents_cells(tmp_path):
          repr(float(portfolio.gamma_shape)), repr(float(portfolio.gamma_rate[i]))]
         for i in range(30)
     ]
+
+
+def test_carriage_return_field_is_quoted():
+    rows = [["term", "node_1"], ["c=a\rb", "1.0"], ["c=d\r\ne", ""], ["c=f\ng", "x\r"]]
+    text = csv_text(rows)
+    assert cells(text) == rows
+    assert text == 'term,node_1\n"c=a\rb",1.0\n"c=d\r\ne",\n"c=f\ng","x\r"\n'
+
+
+def test_fields_without_carriage_return_keep_csv_writer_bytes():
+    rows = [["a", "b,c", 'd"e', ""], ["x\ny", " z ", "1.5", "#"], [""], []]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert csv_text(rows) == buf.getvalue()
+    assert csv_text([]) == ""

@@ -5,6 +5,7 @@ import pytest
 
 from claimtree.data import save_csv
 from claimtree.simulate import (
+    CATEGORY_LEVELS,
     SimConfig,
     default_beta_gamma,
     default_beta_poisson,
@@ -180,3 +181,65 @@ class TestSimulate:
         kinds = {c.kind for c in port.dataset.columns}
         assert kinds == {"continuous", "response"}
         assert port.dataset.p == 60
+
+
+def stacked_simulate(config: SimConfig):
+    """The simulator as first written, kept frozen: features drawn with
+    ``rng.choice``, blocks joined by ``hstack`` and the response appended by
+    ``column_stack``. Returns the table, the latents and the generator."""
+    rng = np.random.default_rng(config.seed)
+    idx = np.arange(config.p_continuous)
+    chol = np.linalg.cholesky(config.rho ** np.abs(idx[:, None] - idx[None, :]))
+    cont = rng.standard_normal((config.n, config.p_continuous)) @ chol.T
+    cat = rng.choice(np.array(CATEGORY_LEVELS), size=(config.n, config.p_categorical))
+    X = np.hstack([cont, cat])
+    lam = lambda_of(X, config)
+    shape, rate = gamma_params_of(X, config)
+    counts = rng.poisson(lam)
+    total = np.zeros(config.n)
+    pos = counts > 0
+    if pos.any():
+        total[pos] = rng.gamma(shape * counts[pos], 1.0 / rate[pos])
+    noise_sd = config.noise_sd
+    if noise_sd is None:
+        noise_sd = 0.05 * (total[pos].std() if pos.sum() > 1 else 0.0)
+    if noise_sd > 0 and pos.any():
+        total[pos] = np.maximum(total[pos] + rng.normal(0.0, noise_sd, int(pos.sum())), 0.0)
+    return np.column_stack([X, total]), lam, counts, rate, rng
+
+
+def narrow_config(n, p_continuous, p_categorical):
+    width = 1 + p_continuous + p_categorical
+    return SimConfig(n=n, p_continuous=p_continuous, p_categorical=p_categorical, seed=n,
+                     beta_poisson=np.r_[-0.1, np.linspace(-0.5, 0.5, width - 1)],
+                     beta_gamma=np.r_[6.0, np.linspace(0.5, -0.1, width - 1)])
+
+
+class TestOneTable:
+    """simulate draws into the Dataset's own table and gives, bit for bit,
+    the values and generator state of the stacked formulation."""
+
+    @pytest.mark.parametrize("config", [
+        *(pytest.param(SimConfig(n=n, seed=7), id=f"n={n}") for n in (1, 7, 4097, 8193, 20_000)),
+        pytest.param(narrow_config(300, 0, 4), id="no continuous"),
+        pytest.param(narrow_config(300, 4, 0), id="no categorical"),
+    ])
+    def test_matches_the_stacked_formulation(self, config, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+        port = simulate(config)
+        values, lam, counts, rate, rng = stacked_simulate(config)
+        assert port.dataset.values.tobytes() == values.tobytes()
+        assert port.lam.tobytes() == np.asarray(lam).tobytes()
+        np.testing.assert_array_equal(port.n_claims, counts)
+        assert port.gamma_rate.tobytes() == np.asarray(rate).tobytes()
+        assert made[0].random() == rng.random()
+
+    def test_gen_features_fills_out_as_it_allocates(self):
+        cfg = SimConfig(n=5000, seed=3)
+        table = np.full((cfg.n, 62), -1.0)
+        filled = gen_features(cfg, np.random.default_rng(3), out=table[:, 1:-1])
+        assert filled.base is table
+        np.testing.assert_array_equal(filled, gen_features(cfg, np.random.default_rng(3)))
+        assert (table[:, 0] == -1.0).all() and (table[:, -1] == -1.0).all()
