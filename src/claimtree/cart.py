@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, feature_matrix, require_int, require_real
+from .data import Dataset, _encoding, feature_matrix, require_int, require_real
 
 
 def _impurity_vec(name: str, p: np.ndarray) -> np.ndarray:
@@ -145,6 +145,11 @@ class Tree:
 
     def classify(self, x: np.ndarray) -> int:
         """Route one feature row to its terminal; returns the terminal's node id."""
+        return self.routing.node_id_list[self.terminal_slot(x)]
+
+    def terminal_slot(self, x: np.ndarray) -> int:
+        """The index in ``terminal_ids()`` of the terminal one encoded
+        feature row reaches, by a walk down the routing table."""
         x = np.asarray(x, dtype=float)
         if x.shape != (len(self.feature_names),):
             raise ValueError(
@@ -155,16 +160,25 @@ class Tree:
         k = t.root
         while (f := feature[k]) >= 0:
             k = left[k] if x[f] < threshold[k] else right[k]
-        return t.node_id_list[k]
+        return k
 
     def terminal_slots(self, X: np.ndarray) -> np.ndarray:
-        """For every row of X, the index of its terminal in ``terminal_ids()``."""
+        """For every row of the encoded feature matrix X, the index of its
+        terminal in ``terminal_ids()``."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} feature values per row, got shape {X.shape}"
             )
-        return self.routing.route(X)
+        return self.routing.route(X, self.routing.encoded)
+
+    def dataset_slots(self, ds: Dataset) -> np.ndarray:
+        """For every row of ``ds``, the index of its terminal in
+        ``terminal_ids()``, read off the Dataset's own table: the slots
+        ``terminal_slots(feature_matrix(ds)[0])`` gives, with no encoded
+        matrix built. Raises ValueError unless ``ds`` encodes to the tree's
+        feature names."""
+        return self.routing.route(ds.values, self.routing.tests(ds.columns))
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Terminal node id for every row of X."""
@@ -185,12 +199,22 @@ class RoutingTable:
     ``MAX_DEPTH``), and the position a row reaches is its terminal slot.
     ``root`` is the root's position, where every walk starts. Per position
     the table holds the split feature (-1 at a terminal), the threshold,
-    both children and the heap id. The children sit in ``child`` at
-    ``2k + 1`` (left) and ``2k`` (right), and a terminal's are itself, so a
-    row at k moves to ``child[2k + (x[feature[k]] < threshold[k])]``;
-    ``depth`` such steps take every row to its terminal. A NaN compares
-    False and goes right. The single-row walk reads the same columns as
-    plain lists.
+    both children and the heap id. The single-row walk reads these as plain
+    lists.
+
+    A batch is routed by one walk (:meth:`route`) over a table of values
+    and a test per position, ``(source, lo, hi)``: a row at k reads its
+    value v in column ``source[k]`` and goes left iff ``v < lo[k]`` or
+    ``v > hi[k]``; ``depth`` such steps take every row to its terminal. On
+    the encoded matrix (``encoded``) each feature is its own source and a
+    split at t is ``(t, +inf)``, so a NaN compares False and goes right.
+    On a Dataset's table (:meth:`tests`) a split reads its feature's source
+    column, and one on the indicator of category level l compares the
+    category index itself. The walk tracks each row's entry ``2k``: the
+    tests hold every position's value at both its entries, and ``child``
+    holds the entry of the left child at ``2k + 1`` and of the right one at
+    ``2k`` (a terminal's are its own), so a row moves to
+    ``child[2k + go_left]``.
     """
 
     def __init__(self, tree: Tree):
@@ -201,36 +225,77 @@ class RoutingTable:
         threshold = [0.0 if s is None else s.threshold for s in splits]
         left = [k if s is None else at[2 * nid] for k, (nid, s) in enumerate(zip(ids, splits))]
         right = [k if s is None else at[2 * nid + 1] for k, (nid, s) in enumerate(zip(ids, splits))]
+        self.feature_names = tree.feature_names
         self.feature_list, self.threshold_list = feature, threshold
         self.left_list, self.right_list = left, right
         self.node_id_list = ids
         self.root = at[1]
         self.depth = max(ids).bit_length() - 1
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=float)
-        self.child = np.column_stack([right, left]).astype(np.intp).ravel()
+        self.child = 2 * np.column_stack([right, left]).astype(np.intp).ravel()
         self.node_id = np.array(ids, dtype=np.int64)
+        self.encoded = (
+            np.repeat(np.array(feature, dtype=np.intp), 2), np.repeat(np.array(threshold, dtype=float), 2),
+            np.full(2 * len(ids), np.inf),
+        )
+        self._tests: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """Slot of the terminal that each row of the 2-D float X reaches."""
-        n, p = X.shape
-        # Cell (r, j) of X is flat[r * row_step + j * col_step]. For an F- or
-        # C-ordered X (feature_matrix gives F order) the ravel is a view, so
-        # only a batch in neither order is copied. A terminal's feature -1
-        # reads some valid cell, and both its children are itself.
-        if X.flags.f_contiguous:
-            flat, row_step, col_step = X.ravel(order="F"), 1, n
+    def tests(self, columns: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(source, lo, hi)`` tests, per entry, on the table of a
+        Dataset whose schema is ``columns``, built once per schema.
+
+        A continuous split at t is ``(t, +inf)``. A Dataset's categorical
+        cell is an exact category index, so a split at t on the indicator
+        of level l, which sends a row left iff its indicator is below t, is
+        ``(l, l)`` (left unless the cell is l) for ``0 < t <= 1``,
+        ``(+inf, -inf)`` (always left) for ``t > 1`` and ``(-inf, +inf)``
+        (always right) for ``t <= 0``. Raises ValueError unless the columns
+        encode to the tree's feature names.
+        """
+        if (found := self._tests.get(columns)) is not None:
+            return found
+        entries = list(_encoding(columns))
+        names = [name for name, _, _ in entries]
+        if names != self.feature_names:
+            raise ValueError(
+                f"dataset features do not match the tree's (expected {self.feature_names}, got {names})"
+            )
+        # entry -1 stands for a terminal's feature -1: source -1, no level
+        source = np.array([j for _, j, _ in entries] + [-1], dtype=np.intp)
+        level = np.array([np.nan if lv is None else lv for _, _, lv in entries] + [np.nan])
+        feature, t, _ = self.encoded  # per entry, as the tests built here
+        source, level = source.take(feature), level.take(feature)
+        indicator = ~np.isnan(level)
+        lo = np.where(indicator, np.where(t > 1.0, np.inf, np.where(t > 0.0, level, -np.inf)), t)
+        hi = np.where(indicator, np.where(t > 1.0, -np.inf, np.where(t > 0.0, level, np.inf)), np.inf)
+        found = self._tests[columns] = (source, lo, hi)
+        return found
+
+    def route(self, values: np.ndarray, tests) -> np.ndarray:
+        """Slot of the terminal that each row of the 2-D float ``values``
+        reaches under the per-entry ``(source, lo, hi)`` tests."""
+        source, lo, hi = tests
+        n, p = values.shape
+        # Cell (r, j) is flat[r * row_step + j * col_step]. For an F- or
+        # C-ordered table (a Dataset's, or feature_matrix's F order) the
+        # ravel is a view, so only a table in neither order is copied. A
+        # terminal's source -1 reads some valid cell, and both its children
+        # are itself.
+        if values.flags.f_contiguous:
+            flat, row_step, col_step = values.ravel(order="F"), 1, n
         else:
-            flat, row_step, col_step = X.ravel(), p, 1
+            flat, row_step, col_step = values.ravel(), p, 1
+        source = source * col_step
         rows = np.arange(n, dtype=np.intp) * row_step
-        k = np.full(n, self.root, dtype=np.intp)
+        entry = np.full(n, 2 * self.root, dtype=np.intp)
         for _ in range(self.depth):
-            cell = self.feature.take(k)
-            cell *= col_step
+            cell = source.take(entry)
             cell += rows
-            go_left = flat.take(cell) < self.threshold.take(k)
-            k = self.child.take(2 * k + go_left)
-        return k
+            v = flat.take(cell)
+            go_left = v < lo.take(entry)
+            go_left |= v > hi.take(entry)
+            entry += go_left
+            entry = self.child.take(entry)
+        return entry >> 1
 
 
 def best_split(X: np.ndarray, y: np.ndarray, impurity: str = "gini") -> SplitRule | None:

@@ -534,12 +534,28 @@ def feature_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
     """Encoded feature matrix (a fresh, Fortran-ordered array) and its
     column names, in the order :func:`_encoding` gives."""
     entries = list(_encoding(ds.columns))
-    # One gather copies every source column; indicators become == level.
-    X = ds.values[:, [j for _, j, _ in entries]]
+    # One gather copies every source column.
+    X = _indicators(ds.values[:, [j for _, j, _ in entries]], entries)
+    return X, [name for name, _, _ in entries]
+
+
+def encoded_rows(ds: Dataset, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of :func:`feature_matrix`'s matrix (a fresh, C-ordered
+    array, the layout indexing that matrix by ``rows`` gives), gathered
+    from the table alone: no other row is encoded."""
+    entries = list(_encoding(ds.columns))
+    # two takes of a few rows beat one np.ix_ gather about threefold
+    X = ds.values.take(rows, axis=0).take(np.array([j for _, j, _ in entries], dtype=np.intp), axis=1)
+    return _indicators(X, entries)
+
+
+def _indicators(X: np.ndarray, entries: list) -> np.ndarray:
+    """X, the gathered source column of each :func:`_encoding` entry, with
+    every categorical one turned in place into its level's 0/1 indicator."""
     for i, (_, _, level) in enumerate(entries):
         if level is not None:
             X[:, i] = X[:, i] == level
-    return X, [name for name, _, _ in entries]
+    return X
 
 
 def nonconstant_columns(X: np.ndarray) -> np.ndarray:

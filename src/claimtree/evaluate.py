@@ -211,8 +211,8 @@ def _cross_validate(ds: Dataset, cells: list[tuple[dict, Learner]], k: int, seed
     Folds are the outer loop. Each fold's train and test datasets are built
     once, every cell is fitted on that same pair of objects, deepest cell
     first, and both are dropped before the next fold, so one fold's copies
-    are live at a time. Within a fold the cells share one grown tree, the
-    training set's encoding and the terminals' severity models
+    are live at a time. Within a fold the cells share one grown tree and
+    the terminals' severity models
     (:func:`claimtree.hybrid.tree_reuse`). Results land in the
     cells' own order, each cell's fold results and failures in fold order.
     """

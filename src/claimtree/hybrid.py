@@ -15,6 +15,7 @@ import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,10 @@ from . import __version__
 from .cart import (
     Tree, TreeHyperparams, covers, cp_to_alpha, grow, prune, tree_from_dict, tree_to_dict, truncate,
 )
-from .data import (
+from .data import (  # noqa: F401 (feature_matrix: perfbench traces hybrid.feature_matrix by name)
     Column, DataError, Dataset, Standardization, _encoding, column_from_dict, column_to_dict, csv_text,
-    feature_matrix, json_text, nonconstant_columns, require_int, require_real, validate_schema,
+    encoded_rows, feature_matrix, json_text, nonconstant_columns, require_int, require_real,
+    validate_schema,
 )
 from .elastic_net import (
     LAMBDA_MIN,
@@ -139,6 +141,13 @@ class HybridModel:
             for tid in self.tree.terminal_ids()
         ]
 
+    @cached_property
+    def slot_models(self) -> list[NodeModel]:
+        """The node models in terminal-slot order (``tree.terminal_ids()``),
+        which prediction indexes. Built on first use, so ``node_models`` is
+        not to change once the model has predicted."""
+        return [self.node_models[tid] for tid in self.tree.terminal_ids()]
+
 
 # The HybridHyperparams fields a non-zero terminal's severity model depends
 # on: all but those that only shape the tree, and zero_threshold, which only
@@ -152,14 +161,12 @@ _SEVERITY_FIELDS = tuple(
 @dataclass
 class _Shared:
     """What the fits in one :func:`tree_reuse` block share: the tree last
-    grown there, the dataset it was grown on, that dataset's encoding and
-    the severity models of the tree's non-zero terminals, keyed by terminal
-    id, the severity settings and the seed. Empty until the block's first
-    grow."""
+    grown there, the dataset it was grown on and the severity models of
+    the tree's non-zero terminals, keyed by terminal id, the severity
+    settings and the seed. Empty until the block's first grow."""
 
     ds: Dataset | None = None
     tree: Tree | None = None
-    features: tuple[np.ndarray, list[str]] | None = None
     node_models: dict[tuple[int, str, int], NodeModel] = field(default_factory=dict)
 
 
@@ -196,15 +203,17 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     mean with a logged warning. ``seed`` feeds the per-node penalty
     cross-validation when glm_lambda is "lambda.min". Each terminal's row
     and zero counts are tallied over the routed rows at once, so a zero
-    terminal is decided without gathering its rows.
+    terminal is decided without gathering its rows. Rows are routed on the
+    table of ``ds``, and only the rows of a terminal given a regression are
+    encoded.
 
     Inside a :func:`claimtree.hybrid.tree_reuse` block, a tree already
     grown on this same ``ds`` object with a maxdepth at least as large and
     a minsplit at least as small is truncated instead of grown again, which
     gives the same tree; a tree that is grown takes the place of the one
-    the block kept. The block's record (``_Shared``) also holds the encoded
-    matrix of ``ds`` and every non-zero terminal's severity model, keyed by
-    terminal id, the settings outside the tree but ``zero_threshold``
+    the block kept. The block's record (``_Shared``) also holds every
+    non-zero terminal's severity model, keyed by terminal id, the
+    settings outside the tree but ``zero_threshold``
     (which only decides zero terminals) and ``seed``: a terminal is the
     same node with the same rows in every tree cut from the kept one, so
     later fits reuse the model it was given.
@@ -215,12 +224,11 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
         full = truncate(shared.tree, tree_hp)
     else:
         full = grow(ds, tree_hp)
-        shared.ds, shared.tree, shared.features, shared.node_models = ds, full, feature_matrix(ds), {}
+        shared.ds, shared.tree, shared.node_models = ds, full, {}
     tree = prune(full, cp_to_alpha(full, hp.cp))
 
-    X, names = shared.features
     y = ds.response
-    slot = tree.terminal_slots(X)
+    slot = tree.dataset_slots(ds)
     terminals = tree.terminal_ids()
     # Every terminal holds rows of ds, on which the tree was grown, and
     # zeros / count has the bits of (y_node == 0).mean().
@@ -239,7 +247,9 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
             continue
         key = (tid, severity, seed)
         if key not in shared.node_models:
-            shared.node_models[key] = _fit_node_model(X, y, np.flatnonzero(slot == j), names, hp, seed, tid)
+            shared.node_models[key] = _fit_node_model(
+                ds, np.flatnonzero(slot == j), tree.feature_names, hp, seed, tid
+            )
         node_models[tid] = shared.node_models[key]
     return HybridModel(
         tree=tree,
@@ -251,15 +261,15 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     )
 
 
-def _fit_node_model(X, y, rows, names, hp, seed, tid) -> NodeModel:
+def _fit_node_model(ds, rows, names, hp, seed, tid) -> NodeModel:
     # A terminal that is not zero: the node mean when the node is too small
     # for a regression or constant in every column, otherwise a linear fit;
     # a rank-deficient OLS design falls back to the mean.
-    y_node = y[rows]
+    y_node = ds.response[rows]
     mean = NodeModel(kind="mean", value=float(y_node.mean()))
     if rows.size < hp.min_node_for_linear:
         return mean
-    X_node = X[rows]
+    X_node = encoded_rows(ds, rows)
     active = np.flatnonzero(nonconstant_columns(X_node))
     if active.size == 0:
         return mean
@@ -288,30 +298,35 @@ def predict_batch(model: HybridModel, ds: Dataset):
 
     Raw keeps the unclipped affine value of linear terminals for
     diagnostics; the claim prediction is the raw value floored at 0.
+
+    Rows are routed on the table of ``ds`` itself
+    (:meth:`~claimtree.cart.Tree.dataset_slots`), and only the rows that
+    reach a linear terminal are encoded (:func:`~claimtree.data.encoded_rows`).
+    The response and count columns may sit anywhere in ``ds``, but its
+    features must encode to the model's feature names, in order, and each
+    feature column must have the kind and categories the model's schema
+    gives it: ValueError otherwise.
     """
-    X, names = feature_matrix(ds)
-    if names != model.tree.feature_names:
-        raise ValueError(
-            "dataset features do not match the model "
-            f"(expected {model.tree.feature_names}, got {names})"
-        )
-    slot = model.tree.terminal_slots(X)
-    node_models = [model.node_models[tid] for tid in model.tree.terminal_ids()]
+    slot = model.tree.dataset_slots(ds)  # checks the encoded feature names
+    schema = {c.name: c for c in model.schema}
+    for col in ds.columns:
+        if col.kind in ("continuous", "categorical") and schema.get(col.name) != col:
+            raise ValueError(f"column {col.name!r} is {col}, where the model has {schema.get(col.name)}")
+    node_models = model.slot_models
     # Terminals without a fit fill by one gather of their values; only
     # linear ones need their rows.
     raw = np.array([nm.value for nm in node_models], dtype=float).take(slot)
     for j, nm in enumerate(node_models):
         if nm.fit is not None:
             rows = np.flatnonzero(slot == j)
-            raw[rows] = nm.predict(X[rows])
+            raw[rows] = nm.predict(encoded_rows(ds, rows))
     return model.tree.routing.node_id.take(slot), raw, np.maximum(raw, 0.0)
 
 
 def predict(model: HybridModel, x: np.ndarray) -> float:
     """Predict one encoded feature row; negative values clip to 0."""
-    x = np.asarray(x, dtype=float)
-    nm = model.node_models[model.tree.classify(x)]
-    raw = nm.value if nm.fit is None else nm.predict(x[None, :])[0]
+    nm = model.slot_models[model.tree.terminal_slot(x)]
+    raw = nm.value if nm.fit is None else nm.predict(x)[0]
     return max(float(raw), 0.0)
 
 

@@ -497,8 +497,9 @@ class TestTreeReuseBlocks:
 
 
 class TestFitTerminalsOncePerFold:
-    """Within a grid_search fold, each terminal's severity model and the
-    training set's encoding are made once and shared by every cell."""
+    """Within a grid_search fold, each terminal's severity model is made
+    once and shared by every cell, and hybrid encodes only the rows its
+    regressions read, never a whole table."""
 
     GRID = {"cp": [1e-4, 2e-4], "maxdepth": [8, 10]}
 
@@ -509,26 +510,31 @@ class TestFitTerminalsOncePerFold:
     @staticmethod
     def record(monkeypatch):
         """Events in call order: ("grow",) when a fold's tree is grown,
-        ("node", terminal id) per severity fit, ("encode", dataset) per
-        encoding by hybrid, and ("fit", training set, model) per cell."""
+        ("node", terminal id, row count) per severity fit, ("encode",
+        dataset, row count) per encoding of rows by hybrid, and ("fit",
+        training set, model) per cell. hybrid encoding a whole table fails."""
         events = []
-        grow_, fit_node, encode = hybrid.grow, hybrid._fit_node_model, hybrid.feature_matrix
+        grow_, fit_node, encode = hybrid.grow, hybrid._fit_node_model, hybrid.encoded_rows
 
         def counting_grow(ds, hp):
             events.append(("grow",))
             return grow_(ds, hp)
 
-        def counting_fit_node(X, y, rows, names, hp, seed, tid):
-            events.append(("node", tid))
-            return fit_node(X, y, rows, names, hp, seed, tid)
+        def counting_fit_node(ds, rows, names, hp, seed, tid):
+            events.append(("node", tid, rows.size))
+            return fit_node(ds, rows, names, hp, seed, tid)
 
-        def counting_encode(ds):
-            events.append(("encode", ds))
-            return encode(ds)
+        def counting_encode(ds, rows):
+            events.append(("encode", ds, len(rows)))
+            return encode(ds, rows)
+
+        def whole_table(ds):
+            raise AssertionError("hybrid encoded a whole table")
 
         monkeypatch.setattr(hybrid, "grow", counting_grow)
         monkeypatch.setattr(hybrid, "_fit_node_model", counting_fit_node)
-        monkeypatch.setattr(hybrid, "feature_matrix", counting_encode)
+        monkeypatch.setattr(hybrid, "encoded_rows", counting_encode)
+        monkeypatch.setattr(hybrid, "feature_matrix", whole_table)
         return events
 
     @staticmethod
@@ -569,13 +575,30 @@ class TestFitTerminalsOncePerFold:
         assert sum(e[0] == "node" for e in events) < per_cell
 
     def test_training_set_is_encoded_once_per_fold(self, ds, monkeypatch):
+        """Per fold, the training rows of each terminal given a regression are
+        encoded once, right after its fit starts, and per cell the test rows
+        that reach a linear terminal: far fewer rows than the tables hold."""
         events = self.record(monkeypatch)
         grid_search(ds, self.GRID, k=5, seed=1, learner_factory=self.factory(events))
-        for fold in self.folds(events):
-            train = next(e[1] for e in fold if e[0] == "fit")
-            encoded = [e[1] for e in fold if e[0] == "encode"]
-            # once for the fold's training set, then once per cell's predict call
-            assert [d is train for d in encoded] == [True] + [False] * 4
+        min_rows = HybridHyperparams().min_node_for_linear
+        encoded_train = encoded_test = 0
+        for fold, test_idx in zip(self.folds(events), fold_indices(ds.n, 5, 1)):
+            fits = [e for e in fold if e[0] == "fit"]
+            train, test = fits[0][1], ds.subset(test_idx)
+            after_fit_starts = [b for a, b in zip(fold, fold[1:]) if a[0] == "node"]
+            encoded = [e for e in fold if e[0] == "encode" and e[1] is train]
+            assert encoded == [e for e in after_fit_starts if e[0] == "encode"]
+            assert [e[2] for e in encoded] == [e[2] for e in fold if e[0] == "node" and e[2] >= min_rows]
+            assert sum(e[2] for e in encoded) < train.n
+            linear_rows = 0
+            for _, _, model in fits:
+                linear = [t for t, nm in model.node_models.items() if nm.kind == "linear"]
+                linear_rows += int(np.isin(hybrid.predict_batch(model, test)[0], linear).sum())
+            on_test = [e for e in fold if e[0] == "encode" and e[1] is not train]
+            assert sum(e[2] for e in on_test) == linear_rows < len(fits) * test.n
+            encoded_train += len(encoded)
+            encoded_test += len(on_test)
+        assert encoded_train > 0 and encoded_test > 0
 
     def test_zero_threshold_does_not_split_the_shared_fits(self, monkeypatch):
         """zero_threshold only decides which terminals are zero, so a grid over

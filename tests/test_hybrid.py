@@ -8,6 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from claimtree import cart as cart_module
+from claimtree import data as data_module
+from claimtree import hybrid as hybrid_module
 from claimtree.cart import Tree, TreeHyperparams, TreeNode, to_dot, variable_importance
 from claimtree.data import Column, Dataset, feature_matrix, nonconstant_columns
 from claimtree.elastic_net import LinearFit, RankDeficiencyError, fit_ols
@@ -350,6 +353,47 @@ class TestPredictBatch:
         )
         with pytest.raises(ValueError, match="features do not match"):
             predict_batch(model, wrong)
+
+    @staticmethod
+    def two_level_portfolio():
+        """400 policies (c in {a, b}, x, y) whose claims depend on c."""
+        rng = np.random.default_rng(4)
+        c = rng.integers(0, 2, size=400).astype(float)
+        x = rng.normal(size=400)
+        y = np.where(rng.uniform(size=400) < 0.35 + 0.5 * c, np.exp(5.0 + c + 0.3 * x), 0.0)
+        cols = (Column("c", "categorical", ("a", "b")), Column("x", "continuous"), Column("y", "response"))
+        return cols, np.column_stack([c, x, y])
+
+    def test_feature_kind_or_categories_unlike_the_model_rejected(self):
+        """A two-level column encodes to its own name whatever its labels'
+        order or kind, so only the schema tells these datasets from the
+        model's: each is rejected, naming the column, not mispredicted."""
+        cols, values = self.two_level_portfolio()
+        model = fit(Dataset(cols, values), HybridHyperparams(severity_learner="ols", maxdepth=3))
+        flipped = values.copy()
+        flipped[:, 0] = 1.0 - flipped[:, 0]  # the same policies, labels in the other order
+        for column, cells in (
+            (Column("c", "categorical", ("b", "a")), flipped),
+            (Column("c", "categorical", ("a", "z")), values),
+            (Column("c", "continuous"), values),
+        ):
+            with pytest.raises(ValueError, match="column 'c'"):
+                predict_batch(model, Dataset((column,) + cols[1:], cells))
+
+    def test_never_encodes_the_whole_table(self, monkeypatch):
+        """predict_batch routes on the Dataset's table and encodes only the
+        rows that reach a linear terminal."""
+        model, ds = self.make_fitted(10)
+        want = predict_batch(model, ds)
+        assert any(nm.kind == "linear" for nm in model.node_models.values())
+
+        def whole_table(ds):
+            raise AssertionError("predict_batch encoded the whole table")
+
+        for module in (hybrid_module, data_module, cart_module):
+            monkeypatch.setattr(module, "feature_matrix", whole_table)
+        for got, expected in zip(predict_batch(model, ds), want):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSingleRowAgainstBatch:
