@@ -203,6 +203,18 @@ def _resolve(args, cfg: dict, name: str, default):
     return default
 
 
+def _resolve_seed(args, cfg: dict) -> int:
+    """The run's seed (flag, else config key, else 0): an integer >= 0."""
+    seed = _resolve(args, cfg, "seed", 0)
+    try:
+        require_int(seed=seed)
+    except ValueError as exc:
+        raise CliValidationError(str(exc)) from None
+    if seed < 0:
+        raise CliValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_glm_lambda(value):
     # Only text is converted; any other value meets HybridHyperparams' own checks.
     if not isinstance(value, str) or value == LAMBDA_MIN:
@@ -283,7 +295,7 @@ def _load_dataset(data_path: str, schema_path: str) -> Dataset:
 def cmd_train(args) -> int:
     cfg = _load_config_file(args)
     hp = _from_flags(HybridHyperparams, args, cfg)
-    seed = _resolve(args, cfg, "seed", 0)
+    seed = _resolve_seed(args, cfg)
     out = _prepare_out_dir(
         args.out, args.force, ["model.json", "fit_report.json", "coefficients.csv", "manifest.json"]
     )
@@ -313,7 +325,7 @@ def _hybrid_learner(hp: HybridHyperparams, seed: int):
 def cmd_tune(args) -> int:
     cfg = _load_config_file(args)
     base = _from_flags(HybridHyperparams, args, cfg)
-    seed = _resolve(args, cfg, "seed", 0)
+    seed = _resolve_seed(args, cfg)
     folds = _resolve(args, cfg, "folds", 10)
     grid = _read_json_input(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
@@ -393,26 +405,30 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config_file(args)
-    seed = _resolve(args, cfg, "seed", 0)
-    if len(args.models) + (0 if args.no_baselines else 2) < 2:
+    seed = _resolve_seed(args, cfg)
+    # a stored model is named by its path as given, less ".json"
+    names = [path.removesuffix(".json") for path in args.models]
+    if not args.no_baselines:
+        names += ["constant_mean", "mean_leaf_tree"]
+    if len(names) < 2:
         raise CliValidationError("need at least 2 models; pass --models or drop --no-baselines")
     base = _from_flags(HybridHyperparams, args, cfg)  # checked whether or not baselines run
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise CliValidationError(f"two models would both be named {clashes[0]!r}")
     out = _prepare_out_dir(
         args.out, args.force, ["comparison.csv", "comparison.svg", "manifest.json"]
     )
     schema = load_schema(args.schema)
     ds_train = load_csv(args.train, schema)
     ds_test = load_csv(args.test, schema)
-    models = []
-    for path in args.models:
-        stored = load(path)
-        name = Path(path).stem
-        models.append((name, lambda ds, m=stored: predict_batch(m, ds)[2]))
+    predictors = [lambda ds, m=load(path): predict_batch(m, ds)[2] for path in args.models]
     if not args.no_baselines:
-        models.append(("constant_mean", constant_mean_learner(ds_train)))
+        predictors.append(constant_mean_learner(ds_train))
         mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
         tree_model = fit(ds_train, mean_leaf_hp, seed=seed)
-        models.append(("mean_leaf_tree", lambda ds, m=tree_model: predict_batch(m, ds)[2]))
+        predictors.append(lambda ds, m=tree_model: predict_batch(m, ds)[2])
+    models = list(zip(names, predictors))
     table = comparison_table(models, ds_train, ds_test)
     (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
     (out / "comparison.svg").write_text(comparison_svg(table), encoding="utf-8")

@@ -562,3 +562,10 @@ def nonconstant_columns(X: np.ndarray) -> np.ndarray:
     """Mask of the columns of X holding two or more distinct values (none with < 2 rows)."""
     return (X[1:] != X[:1]).any(axis=0)
 
+
+def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
+    """Seeded shuffle of range(n) split into k contiguous blocks, each sorted."""
+    if not 2 <= k <= n:
+        raise ValueError("need n >= k >= 2")
+    rng = np.random.default_rng(seed)
+    return [np.sort(block) for block in np.array_split(rng.permutation(n), k)]

@@ -24,12 +24,14 @@ response's unit. A single fit, the final full-data fit of
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Standardization, nonconstant_columns, standardize_matrix
+from .data import Standardization, fold_indices, nonconstant_columns, standardize_matrix
+
+log = logging.getLogger(__name__)
 
 LAMBDA_MIN = "lambda.min"
 
@@ -273,7 +275,7 @@ def fit_elastic_net(
     and destandardizes the solution. When ``penalty.lam`` is "lambda.min"
     the penalty size is chosen by :func:`lambda_path_cv` first, whose folds
     stop by the relative rule instead (see the module docstring). A fit that
-    exhausts ``CD_MAX_ITER`` sweeps is returned with ``converged=False`` and a warning.
+    exhausts ``CD_MAX_ITER`` sweeps is returned with ``converged=False`` and logged.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -285,9 +287,7 @@ def fit_elastic_net(
     Xs, st = standardize_matrix(X, list(feature_names))
     res = coordinate_descent(Xs, y - y.mean(), penalty.alpha, lam)
     if not res.converged:
-        warnings.warn(
-            f"coordinate descent did not converge in {res.sweeps} sweeps", RuntimeWarning
-        )
+        log.warning("coordinate descent did not converge in %d sweeps", res.sweeps)
     return LinearFit(
         intercept=float(y.mean() - (res.beta * st.center / st.scale).sum()),
         coefficients=res.beta / st.scale,
@@ -319,20 +319,19 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
 
     The grid runs N_LAMBDAS log-spaced steps from lambda_max (the smallest
     value zeroing all coefficients on the full data) down to lambda_max *
-    LAMBDA_RATIO. Folds are contiguous blocks of a seeded shuffle. One
+    LAMBDA_RATIO. Folds come from :func:`~claimtree.data.fold_indices`. One
     kernel call per lambda solves every fold at once, warm-started from the
     previous lambda. Fold f stops once a sweep moves no coefficient by more
     than ``sqrt(PATH_THRESH * ||y_f - mean(y_f)||^2)`` over its training
     response y_f, so at alpha = 1 scaling y scales the grid and leaves the
     chosen index alone; a fold whose training response is constant stops
-    after its first sweep at 0. A fold still unconverged after CD_MAX_ITER sweeps
-    raises a RuntimeWarning. Ties prefer the larger (more shrunken) lambda.
+    after its first sweep at 0. Folds still unconverged after CD_MAX_ITER sweeps
+    are logged in one warning. Ties prefer the larger (more shrunken) lambda.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError("need n >= k >= 2 folds")
+    folds = fold_indices(n, k, seed)
     keep = nonconstant_columns(X)
     if not keep.any() or np.ptp(y) == 0.0:
         return LambdaPath(0.0, np.zeros(1), np.zeros(1), np.zeros(1))
@@ -341,9 +340,6 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
     if lam_top == 0.0:
         return LambdaPath(0.0, np.zeros(1), np.zeros(1), np.zeros(1))
     grid = np.geomspace(lam_top, lam_top * LAMBDA_RATIO, N_LAMBDAS)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
     # One stacked Gram system: fold f trains on its standardized nonconstant
     # columns; a column constant in its training rows is all zeros in G[f],
     # c[f] and its test matrix, so its coefficient stays 0.
@@ -355,7 +351,7 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
     tol = np.zeros(k)
     tests = []
     for fi, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
+        train_idx = np.setdiff1d(np.arange(n), test_idx, assume_unique=True)
         Xtr, ytr = X[train_idx], y[train_idx]
         sub = nonconstant_columns(Xtr)
         Xtr_s, st = standardize_matrix(Xtr[:, sub])
@@ -377,10 +373,9 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
             errors[fi, li] = ((y_te - (y_mean + Xte_s @ beta[fi])) ** 2).mean()
     if stalled.any():
         li, fi = np.argwhere(stalled)[0]
-        warnings.warn(
-            f"coordinate descent did not converge in {CD_MAX_ITER} sweeps for "
-            f"{stalled.sum()} of {stalled.size} CV fits (first: fold {fi}, lambda index {li})",
-            RuntimeWarning,
+        log.warning(
+            "coordinate descent did not converge in %d sweeps for %d of %d CV fits "
+            "(first: fold %d, lambda index %d)", CD_MAX_ITER, stalled.sum(), stalled.size, fi, li
         )
     cv_mean = errors.mean(axis=0)
     cv_sd = errors.std(axis=0, ddof=1)

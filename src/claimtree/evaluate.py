@@ -16,14 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DataError, Dataset, csv_text
+from .data import DataError, Dataset, csv_text, fold_indices
 from .hybrid import tree_reuse
 
 log = logging.getLogger(__name__)
-
-MEASURES = ("gini", "r2", "ccc", "rmse", "mae", "mape", "mpe")
-HIGHER_IS_BETTER = {"gini": True, "r2": True, "ccc": True, "rmse": False, "mae": False,
-                    "mape": False, "mpe": False}  # mpe is compared by |value|
 
 
 class UndefinedMetricError(ValueError):
@@ -109,6 +105,22 @@ def mpe(y, yhat) -> float:
     return float(((yhat[mask] - y[mask]) / y[mask]).mean())
 
 
+# The one list of the measures, in report order: each one's function, which
+# value is better ("higher", "lower", or "nearer 0": the lower |value|) and
+# whether it reads only the rows with nonzero actuals.
+_MEASURE_TABLE = {
+    "gini": (gini_index, "higher", False),
+    "r2": (r_squared, "higher", False),
+    "ccc": (ccc, "higher", False),
+    "rmse": (rmse, "lower", False),
+    "mae": (mae, "lower", False),
+    "mape": (mape, "lower", True),
+    "mpe": (mpe, "nearer 0", True),
+}
+MEASURES = tuple(_MEASURE_TABLE)
+HIGHER_IS_BETTER = {m: better == "higher" for m, (_, better, _) in _MEASURE_TABLE.items()}
+
+
 @dataclass
 class MetricReport:
     gini: float
@@ -132,18 +144,10 @@ class MetricReport:
 def compute_metrics(y, yhat) -> MetricReport:
     """All seven validation measures in one report."""
     y, yhat = _check_lengths(y, yhat)
-    n = int(y.size)
-    n_nonzero = int((y != 0).sum())
+    rows = {False: int(y.size), True: int((y != 0).sum())}  # keyed by nonzero-only
     return MetricReport(
-        gini=gini_index(y, yhat),
-        r2=r_squared(y, yhat),
-        ccc=ccc(y, yhat),
-        rmse=rmse(y, yhat),
-        mae=mae(y, yhat),
-        mape=mape(y, yhat),
-        mpe=mpe(y, yhat),
-        n_used={"gini": n, "r2": n, "ccc": n, "rmse": n, "mae": n,
-                "mape": n_nonzero, "mpe": n_nonzero},
+        **{m: fn(y, yhat) for m, (fn, _, _) in _MEASURE_TABLE.items()},
+        n_used={m: rows[nonzero] for m, (_, _, nonzero) in _MEASURE_TABLE.items()},
     )
 
 
@@ -176,14 +180,6 @@ class CVCell:
         if len(self.fold_rmse) < 2:
             return 0.0
         return float(np.std(self.fold_rmse, ddof=1))
-
-
-def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
-    """Seeded shuffle split into k contiguous blocks."""
-    if not 2 <= k <= n:
-        raise ValueError("need n >= k >= 2")
-    rng = np.random.default_rng(seed)
-    return [np.sort(block) for block in np.array_split(rng.permutation(n), k)]
 
 
 def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int) -> CVCell:
@@ -341,14 +337,15 @@ def comparison_table(
     if len(models) < 2:
         raise ValueError("need at least 2 models to compare")
     names = [name for name, _ in models]
+    if len(set(names)) < len(names):
+        raise ValueError(f"model names must be distinct, got {names}")
     raw: dict[str, dict[str, dict[str, float]]] = {}
     rescaled: dict[str, dict[str, dict[str, float]]] = {}
     for split, ds in (("train", ds_train), ("test", ds_test)):
         reports = {name: compute_metrics(ds.response, fn(ds)) for name, fn in models}
         raw[split] = {m: {name: reports[name][m] for name in names} for m in MEASURES}
-        rescaled[split] = {
-            m: rescale(raw[split][m], HIGHER_IS_BETTER[m], by_abs=(m == "mpe")) for m in MEASURES
-        }
+        rescaled[split] = {m: rescale(raw[split][m], better == "higher", by_abs=better == "nearer 0")
+                           for m, (_, better, _) in _MEASURE_TABLE.items()}
     return ComparisonTable(model_names=names, raw=raw, rescaled=rescaled)
 
 

@@ -9,12 +9,14 @@ noise perturbs positive totals.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Column, Dataset, csv_text, require_int, require_real
+
+log = logging.getLogger(__name__)
 
 CATEGORY_LEVELS = (-3.0, -2.0, 1.0, 4.0)
 RATE_CAP = 1e12
@@ -68,6 +70,8 @@ class SimConfig:
             require_real(noise_sd=self.noise_sd)
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("p_continuous", "p_categorical"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -141,7 +145,7 @@ def gen_features(config: SimConfig, rng: np.random.Generator, out: np.ndarray | 
 
 
 def _log_link_rate(x, beta: np.ndarray, exponent: float, scale: float, label: str):
-    """exp(x beta)^exponent / scale, capped at 1e12 with a warning.
+    """exp(x beta)^exponent / scale, capped at 1e12 with a logged warning.
 
     One feature row gives a float, a matrix gives a vector.
     """
@@ -150,7 +154,7 @@ def _log_link_rate(x, beta: np.ndarray, exponent: float, scale: float, label: st
     with np.errstate(over="ignore", divide="ignore"):
         rate = np.exp(eta) ** exponent / scale
     if np.any(rate > RATE_CAP) or not np.all(np.isfinite(rate)):
-        warnings.warn(f"{label} rate overflow, capping at 1e12", RuntimeWarning)
+        log.warning("%s rate overflow, capping at 1e12", label)
         rate = np.minimum(np.nan_to_num(rate, posinf=RATE_CAP), RATE_CAP)
     return float(rate[0]) if single else rate
 

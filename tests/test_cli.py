@@ -1,13 +1,18 @@
 """End-to-end command-line flows in temporary directories."""
 
+import csv
 import json
 import logging
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import claimtree
 from claimtree.cli import LOG_LEVELS, main
-from claimtree.hybrid import load, predict
+from claimtree.evaluate import compute_metrics
+from claimtree.hybrid import load, predict, predict_batch
 from claimtree.data import load_csv, load_schema
 from claimtree.simulate import SimConfig, simulate
 
@@ -637,6 +642,7 @@ class TestSettingTypes:
         ({"n": 20, "p_continuous": -1, "p_categorical": 2,
           "beta_poisson": [0.0, 0.1], "beta_gamma": [0.0, 0.1]}, "p_continuous"),
         ({"p_categorical": -3}, "p_categorical"),
+        ({"seed": True}, "seed"), ({"seed": "3"}, "seed"), ({"seed": -1}, "seed"),
     ])
     def test_simulate_config(self, tmp_path, capsys, cfg, name):
         cfg_file = tmp_path / "cfg.json"
@@ -678,6 +684,30 @@ class TestSettingTypes:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: folds must be an integer" in err
+
+    @pytest.mark.parametrize("seed", [1.0, True, "3", -1])
+    @pytest.mark.parametrize("command", ["train", "tune", "compare"])
+    def test_seed_config(self, portfolio, tmp_path, capsys, command, seed):
+        """A seed must be an integer >= 0; the run writes nothing."""
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        (tmp_path / "grid.json").write_text(json.dumps({"cp": [0.001]}), encoding="utf-8")
+        data, schema = str(portfolio / "portfolio.csv"), ["--schema", str(portfolio / "schema.json")]
+        argv = {
+            "train": ["--data", data, *schema, "--severity-learner", "ols"],
+            "tune": ["--data", data, *schema, "--grid", str(tmp_path / "grid.json")],
+            "compare": ["--train", data, "--test", data, *schema],
+        }[command]
+        code = main([command, "--config", str(tmp_path / "cfg.json"), *argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: seed must be " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_negative_seed_flag(self, tmp_path, capsys):
+        code = main(["simulate", "--seed", "-1", "--n", "20", "--out", str(tmp_path / "sim")])
+        assert code == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestMalformedInputFiles:
@@ -904,6 +934,43 @@ class TestCompareAndExport:
         svg = (out / "comparison.svg").read_text()
         assert svg.count("<rect") == 2 * 3 * 7
 
+    def test_models_sharing_a_file_name_keep_their_own_rows(
+        self, portfolio, trained, tmp_path, monkeypatch
+    ):
+        """Every trained model is a model.json: each is named by its path as given."""
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(trained, "ols")
+        data = ["--data", str(portfolio / "portfolio.csv"), "--schema", str(portfolio / "schema.json")]
+        assert main(["train", *data, "--out", "enet", "--maxdepth", "3", "--zero-threshold", "0.4",
+                     "--glm-which", "0.5", "--glm-lambda", "0.3"]) == 0
+        code = main([
+            "compare", "--models", "ols/model.json", "enet/model.json", "--no-baselines",
+            "--train", str(portfolio / "portfolio.csv"), "--test", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"), "--out", "cmp",
+        ])
+        assert code == 0
+        with open("cmp/comparison.csv", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["split"] == "test"]
+        assert [row["model"] for row in rows] == ["ols/model", "enet/model"]
+        ds = load_csv(portfolio / "portfolio.csv", load_schema(portfolio / "schema.json"))
+        for row in rows:
+            own = compute_metrics(ds.response, predict_batch(load(row["model"] + ".json"), ds)[2])
+            assert row["gini"] == repr(own.gini)
+        assert rows[0]["gini"] != rows[1]["gini"]
+
+    @pytest.mark.parametrize("models, name", [
+        (["m.json", "m.json"], "m"),
+        (["a/model.json", "a/model"], "a/model"),
+        (["constant_mean.json"], "constant_mean"),  # a baseline's name
+    ])
+    def test_clashing_model_names_refused_before_reading(self, tmp_path, capsys, monkeypatch, models, name):
+        monkeypatch.chdir(tmp_path)  # no input file exists
+        code = main(["compare", "--models", *models, "--train", "absent.csv", "--test", "absent.csv",
+                     "--schema", "absent.json", "--out", "cmp"])
+        assert code == 1
+        assert f"error: two models would both be named {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     @pytest.mark.parametrize("flags", [["--maxdepth", "0"], ["--minsplit", "1"]])
     def test_tree_settings_validation(self, portfolio, tmp_path, flags):
         code = main([
@@ -943,8 +1010,14 @@ class TestCompareAndExport:
 GINI_NOTE = "gini index: constant predictions, ordering falls back to input order"
 
 
+# Poisson intercept 100: every claim rate exceeds the simulator's cap.
+RATE_CAP_CONFIG = {"n": 20, "p_continuous": 1, "p_categorical": 0,
+                   "beta_poisson": [100.0, 0.0], "beta_gamma": [0.0, 0.0]}
+
+
 class TestLogLevel:
-    """The constant-mean baseline of ``compare`` logs one warning per gini call."""
+    """The constant-mean baseline of ``compare`` logs one warning per gini call,
+    and the rate cap of ``simulate`` one warning per capped rate vector."""
 
     @pytest.fixture(autouse=True)
     def restore_package_logger(self):
@@ -979,6 +1052,26 @@ class TestLogLevel:
     def test_error_level_quiets_warnings(self, portfolio, tmp_path, capsys):
         assert self.compare(portfolio, tmp_path / "cmp", "--log-level", "error") == 0
         assert GINI_NOTE not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, lines", [
+        ([], ["claim rate overflow, capping at 1e12"]),
+        (["--log-level", "error"], []),
+    ])
+    def test_simulator_rate_cap_is_one_bare_line(self, tmp_path, capsys, flags, lines):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(RATE_CAP_CONFIG), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), *flags]) == 0
+        assert capsys.readouterr().err.splitlines() == lines
+
+    def test_library_sends_no_python_warnings(self):
+        """Library diagnostics go through logging, which --log-level governs."""
+        calls = [
+            f"{path.name}:{i}"
+            for path in sorted(Path(claimtree.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if "warnings.warn(" in line
+        ]
+        assert calls == []
 
     @pytest.mark.parametrize("level", LOG_LEVELS)
     def test_sets_the_package_logger_level(self, trained, tmp_path, level, restore_package_logger):

@@ -4,6 +4,9 @@ algebra closed form, LASSO against dense coefficient-grid search, plus
 KKT certification and the standardization contract.
 """
 
+import contextlib
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -38,6 +41,21 @@ def standardized_problem(rng, n, p, noise=1.0):
     y = X @ beta + noise * rng.normal(size=n)
     Xs, _ = standardize_matrix(X)
     return Xs, y - y.mean()
+
+
+def solver_warnings(caplog) -> list[str]:
+    """Messages of the WARNING records the solver's logger wrote."""
+    return [rec.getMessage() for rec in caplog.records
+            if rec.name == "claimtree.elastic_net" and rec.levelno == logging.WARNING]
+
+
+@contextlib.contextmanager
+def nothing_warned(caplog):
+    """Fail on any Python warning, and on any WARNING the solver logs."""
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="claimtree.elastic_net"):
+        warnings.simplefilter("error")
+        yield
+    assert solver_warnings(caplog) == []
 
 
 def grid_minimize_objective(X, y, lam, alpha=1.0, steps=41, zooms=4):
@@ -253,15 +271,16 @@ class TestElasticNet:
             cd_J = enet_objective(Xs, yc, res.beta, alpha, lam)
             assert abs(cd_J - grid_J) <= 1e-3
 
-    def test_nonconvergence_flagged(self, monkeypatch):
+    def test_nonconvergence_flagged(self, monkeypatch, caplog):
         rng = np.random.default_rng(15)
         Xs, yc = standardized_problem(rng, 40, 5)
         monkeypatch.setattr(elastic_net, "CD_MAX_ITER", 1)
-        with pytest.warns(RuntimeWarning, match="did not converge in 1 sweeps"):
+        with caplog.at_level(logging.WARNING, logger="claimtree.elastic_net"):
             fit = fit_elastic_net(
                 rng.normal(size=(40, 5)), yc + 1.0, PenaltySpec(alpha=0.3, lam=1e-9)
             )
         assert not fit.converged
+        assert solver_warnings(caplog) == ["coordinate descent did not converge in 1 sweeps"]
 
     def test_destandardized_predictions_match_standardized_path(self):
         rng = np.random.default_rng(16)
@@ -415,7 +434,7 @@ class TestLambdaPath:
         np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_constant_training_response_in_one_fold(self, alpha):
+    def test_constant_training_response_in_one_fold(self, alpha, caplog):
         """Every nonzero y sits in fold 0's test rows, so fold 0 trains on a
         constant response: its relative bound is 0, and it must still stop
         after one sweep at 0 and pick what the absolute rule picks."""
@@ -425,23 +444,21 @@ class TestLambdaPath:
         fold0 = np.array_split(np.random.default_rng(seed).permutation(n), k)[0]
         y = np.zeros(n)
         y[fold0[:2]] = [3.0, 5.0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with nothing_warned(caplog):
             path = lambda_path_cv(X, y, alpha, k=k, seed=seed)
         lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
         assert path.lambda_min == lam_min
         np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
         assert path.lambda_min == reference_lambda_path_cv(X, y, alpha, k, seed=seed, tol=CD_TOL)[0]
 
-    def test_scaling_y_scales_the_grid_and_keeps_the_choice(self):
+    def test_scaling_y_scales_the_grid_and_keeps_the_choice(self, caplog):
         """The LASSO is scale-equivariant: y -> c y takes b -> c b at lam ->
         c lam, so with a stopping bound relative to y the path picks the
         same grid index. (At alpha < 1 the ridge term breaks that symmetry.)"""
         rng = np.random.default_rng(27)
         X = rng.normal(size=(80, 6))
         y = X @ np.array([1.0, 0.0, -0.5, 0.0, 0.2, 0.0]) + 2.0 * rng.normal(size=80)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with nothing_warned(caplog):
             paths = {c: lambda_path_cv(X, c * y, 1.0, k=5, seed=1) for c in (1e-3, 1.0, 1e4)}
         base = paths[1.0]
         index = int(np.flatnonzero(base.lambdas == base.lambda_min)[0])
@@ -450,25 +467,29 @@ class TestLambdaPath:
             np.testing.assert_allclose(path.lambdas, c * base.lambdas, rtol=1e-12)
             assert path.lambda_min == path.lambdas[index]
 
-    def test_more_columns_than_rows_on_claim_scale_converges(self):
+    def test_more_columns_than_rows_on_claim_scale_converges(self, caplog):
         """p > n with a response of sd about 4000, where an absolute bound
         on coefficient change stalls at the sweep cap."""
         rng = np.random.default_rng(26)
         X = rng.normal(size=(45, 60))
         y = np.abs(X[:, :3] @ np.array([1500.0, -900.0, 600.0]) + 6500.0 * rng.normal(size=45))
         assert 3000.0 < y.std() < 5000.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with nothing_warned(caplog):
             path = lambda_path_cv(X, y, alpha=1.0, k=10, seed=0)
         assert path.lambda_min in path.lambdas
 
-    def test_nonconvergence_warns_with_fold_and_lambda(self, monkeypatch):
+    def test_nonconvergence_warns_with_fold_and_lambda(self, monkeypatch, caplog):
         monkeypatch.setattr(elastic_net, "CD_MAX_ITER", 1)
         rng = np.random.default_rng(24)
         X = rng.normal(size=(60, 4))
         y = X @ np.array([1.0, 0.0, 0.0, -2.0]) + 0.1 * rng.normal(size=60)
-        with pytest.warns(RuntimeWarning, match=r"did not converge.*fold \d+, lambda index \d+"):
+        with caplog.at_level(logging.WARNING, logger="claimtree.elastic_net"):
             lambda_path_cv(X, y, alpha=0.5, k=4, seed=0)
+        [message] = solver_warnings(caplog)
+        assert re.fullmatch(
+            r"coordinate descent did not converge in 1 sweeps for \d+ of 400 CV fits "
+            r"\(first: fold \d+, lambda index \d+\)", message
+        )
 
 
 class TestPenaltySpec:

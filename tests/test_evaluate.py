@@ -358,6 +358,14 @@ class TestComparisonTable:
         with pytest.raises(ValueError, match="at least 2"):
             comparison_table([("only", lambda ds: ds.response)], train, test)
 
+    def test_duplicate_model_names_rejected(self):
+        """Results are keyed by name, so a repeated name would show one model's
+        measures in both rows."""
+        train, test = self.make_split(2)
+        models = [("m", lambda ds: ds.response), ("m", lambda ds: ds.response + 1.0)]
+        with pytest.raises(ValueError, match="model names must be distinct"):
+            comparison_table(models, train, test)
+
     def test_csv_and_svg_render(self):
         train, test = self.make_split(3)
         table = comparison_table(

@@ -1,5 +1,8 @@
 """Portfolio simulator: link formulas, feature law, compound response."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,18 +88,23 @@ class TestLinkFormulas:
         means = shape / rate
         assert (np.diff(means) > 0).all()
 
-    def test_overflow_capped_with_warning(self):
+    def test_overflow_capped_with_warning(self, caplog):
         cfg = tiny_config([2000.0, 0.0], [0.0, 0.0])
-        with pytest.warns(RuntimeWarning, match="capping"):
+        with caplog.at_level(logging.WARNING, logger="claimtree.simulate"):
             lam = lambda_of(np.array([0.0]), cfg)
+        assert [(rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records] == [
+            ("claimtree.simulate", logging.WARNING, "claim rate overflow, capping at 1e12")
+        ]
         assert lam == 1e12
 
-    def test_severity_overflow_capped_with_one_warning(self):
-        # exp(eta) underflows to 0 and 0 ** (1 - power) is inf: only the cap warns
+    def test_severity_overflow_capped_with_one_warning(self, caplog):
+        # exp(eta) underflows to 0 and 0 ** (1 - power) is inf: only the cap
+        # warns, through the logger, and numpy raises no warning of its own
         cfg = tiny_config([0.0, 0.0], [-2000.0, 0.0])
-        with pytest.warns(RuntimeWarning) as record:
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="claimtree.simulate"):
+            warnings.simplefilter("error")
             shape, rate = gamma_params_of(np.array([0.0]), cfg)
-        assert [str(w.message) for w in record] == ["severity rate overflow, capping at 1e12"]
+        assert [rec.getMessage() for rec in caplog.records] == ["severity rate overflow, capping at 1e12"]
         assert rate == 1e12
 
 
