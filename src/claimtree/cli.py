@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .cart import to_dot
 from .data import (
-    Column, DataError, Dataset, load_csv, load_schema, require_int, save_csv, save_schema, write_csv,
-    write_json,
+    Column, DataError, Dataset, load_csv, load_schema, require_int, require_seed, save_csv, save_schema,
+    write_csv, write_json,
 )
 from .elastic_net import LAMBDA_MIN
 from .evaluate import (
@@ -207,11 +207,9 @@ def _resolve_seed(args, cfg: dict) -> int:
     """The run's seed (flag, else config key, else 0): an integer >= 0."""
     seed = _resolve(args, cfg, "seed", 0)
     try:
-        require_int(seed=seed)
+        require_seed(seed)
     except ValueError as exc:
         raise CliValidationError(str(exc)) from None
-    if seed < 0:
-        raise CliValidationError(f"seed must be >= 0, got {seed}")
     return seed
 
 

@@ -33,6 +33,13 @@ def require_int(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an int (a bool is not) >= 0."""
+    require_int(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def require_real(**values) -> None:
     """Raise ValueError, naming the value, unless each is a finite int or
     float (a bool is not)."""

@@ -363,8 +363,15 @@ def _heat_color(value: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
+def _xml_text(text: str) -> str:
+    """``text`` escaped for an XML text node, as ``xml.sax.saxutils.escape``
+    does; importing that module loads urllib.request and ssl (about 7 MB)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def comparison_svg(table: ComparisonTable) -> str:
-    """Self-contained SVG heat table, one block per split."""
+    """Self-contained SVG heat table, one block per split. Model names and
+    split labels are written as XML-escaped text."""
     cell_w, cell_h, label_w, pad = 84, 30, 150, 10
     width = label_w + cell_w * len(MEASURES) + 2 * pad
     block_h = cell_h * (len(table.model_names) + 1) + 30
@@ -375,7 +382,7 @@ def comparison_svg(table: ComparisonTable) -> str:
     ]
     y0 = pad
     for split in table.rescaled:
-        parts.append(f'<text x="{pad}" y="{y0 + 14}" font-weight="bold">{split}</text>')
+        parts.append(f'<text x="{pad}" y="{y0 + 14}" font-weight="bold">{_xml_text(split)}</text>')
         for ci, m in enumerate(MEASURES):
             x = label_w + ci * cell_w
             parts.append(
@@ -383,7 +390,7 @@ def comparison_svg(table: ComparisonTable) -> str:
             )
         for ri, name in enumerate(table.model_names):
             y = y0 + 40 + ri * cell_h
-            parts.append(f'<text x="{pad}" y="{y + cell_h / 2 + 4}">{name}</text>')
+            parts.append(f'<text x="{pad}" y="{y + cell_h / 2 + 4}">{_xml_text(name)}</text>')
             for ci, m in enumerate(MEASURES):
                 x = label_w + ci * cell_w
                 value = table.rescaled[split][m][name]

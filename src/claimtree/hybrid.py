@@ -26,7 +26,7 @@ from .cart import (
 from .data import (  # noqa: F401 (feature_matrix: perfbench traces hybrid.feature_matrix by name)
     Column, DataError, Dataset, Standardization, _encoding, column_from_dict, column_to_dict, csv_text,
     encoded_rows, feature_matrix, json_text, nonconstant_columns, require_int, require_real,
-    validate_schema,
+    require_seed, validate_schema,
 )
 from .elastic_net import (
     LAMBDA_MIN,
@@ -201,7 +201,8 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     Severity fits use every row routed to the terminal, zeros included.
     An OLS terminal whose design is rank deficient falls back to the node
     mean with a logged warning. ``seed`` feeds the per-node penalty
-    cross-validation when glm_lambda is "lambda.min". Each terminal's row
+    cross-validation when glm_lambda is "lambda.min"; it must be an int
+    >= 0 (ValueError otherwise, before any work). Each terminal's row
     and zero counts are tallied over the routed rows at once, so a zero
     terminal is decided without gathering its rows. Rows are routed on the
     table of ``ds``, and only the rows of a terminal given a regression are
@@ -218,6 +219,7 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     same node with the same rows in every tree cut from the kept one, so
     later fits reuse the model it was given.
     """
+    require_seed(seed)
     tree_hp = hp.tree_hyperparams()
     shared = _shared.get() or _Shared()  # outside every block, a record nothing keeps
     if shared.ds is ds and covers(shared.tree.hyperparams, tree_hp):

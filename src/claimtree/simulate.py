@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Column, Dataset, csv_text, require_int, require_real
+from .data import Column, Dataset, csv_text, require_int, require_real, require_seed
 
 log = logging.getLogger(__name__)
 
@@ -70,8 +70,7 @@ class SimConfig:
             require_real(noise_sd=self.noise_sd)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_seed(self.seed)
         for name in ("p_continuous", "p_categorical"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -313,6 +313,56 @@ class TestBestSplit:
         assert best_split(np.array([[1.0, 2.0]]), np.array([1])) is None
         assert best_split(np.empty((4, 0)), np.array([0, 1, 0, 1])) is None
 
+    @pytest.mark.parametrize(
+        "impurity, nan_gain, inf_rule, inf_gain",
+        [
+            ("gini", 0.42, (0, np.inf), 0.07714285714285718),
+            ("entropy", 0.6108643020548935, (0, np.inf), 0.1328286287645633),
+            ("misclassification", 0.30000000000000004, (0, 1.5), 1.1102230246251565e-16),
+        ],
+    )
+    def test_non_finite_cells_keep_their_pinned_result(self, impurity, nan_gain, inf_rule, inf_gain):
+        """Raw X with NaN and +-inf cells (a Dataset holds neither). NaN
+        equals nothing, so each NaN row is its own value and the best cut
+        here lies between two NaN rows, in row-id order, at a NaN threshold;
+        +-inf cells tie as equal values. Pinned from the stable-sort search."""
+        nan, inf = np.nan, np.inf
+        X = np.array([
+            [nan, inf, 1.0], [3.0, 2.0, 0.0], [nan, 1.0, 1.0], [0.5, -inf, 0.0], [nan, inf, 1.0],
+            [nan, 3.0, 0.0], [2.0, -inf, 1.0], [nan, 2.0, 0.0], [1.0, inf, 1.0], [nan, 1.0, 0.0],
+        ])
+        y = np.array([0, 0, 0, 0, 0, 1, 0, 1, 0, 1])
+        rule, gain = cart._best_split_scored(X, y, impurity)
+        assert rule.feature == 0 and np.isnan(rule.threshold) and gain == nan_gain
+        rule, gain = cart._best_split_scored(X[:, 1:2], y, impurity)
+        assert (rule.feature, rule.threshold) == inf_rule and gain == inf_gain
+
+    @pytest.mark.parametrize(
+        "impurity, gain, reversed_gain",
+        [
+            ("gini", 0.2303831994645248, 0.21552376171352072),
+            ("entropy", 0.2930288622514449, 0.27704354083755495),
+            ("misclassification", 0.3083333333333334, 0.29166666666666663),
+        ],
+    )
+    def test_nan_rows_keep_row_id_order(self, impurity, gain, reversed_gain):
+        """72 NaN rows, the first half positive: the best cut lies between
+        NaN rows, and so depends on their order, which is row-id order
+        (reversing the rows changes the gain). Pinned from the stable-sort
+        search; an unstable sort of this column gives other splits."""
+        rng = np.random.default_rng(26)
+        n = 120
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.6] = np.nan
+        y = rng.integers(0, 2, n)
+        nan_rows = np.flatnonzero(np.isnan(x))
+        y[nan_rows[: nan_rows.size // 2]] = 1
+        y[nan_rows[nan_rows.size // 2:]] = 0
+        X = np.column_stack([x, np.round(rng.normal(size=n), 0)])
+        for rows, expected in ((slice(None), gain), (slice(None, None, -1), reversed_gain)):
+            rule, found = cart._best_split_scored(X[rows], y[rows], impurity)
+            assert rule.feature == 0 and np.isnan(rule.threshold) and found == expected
+
 
 def block_width(n):
     return max(1, cart._SPLIT_BLOCK_CELLS // n)
@@ -361,6 +411,158 @@ class TestBlockKernel:
                 assert rule == SplitRule(first, 4.5)
                 assert (rule.feature, rule.threshold) == brute_force_best_split(X, y, impurity)
                 assert (rule, gain) == per_feature_best_split(X, y, impurity)
+
+
+def tree_json(tree):
+    """``tree_to_dict`` as JSON text, which, unlike ==, tells -0.0 from 0.0."""
+    return json.dumps(tree_to_dict(tree), sort_keys=True)
+
+
+def search_kinds(ds):
+    """(counted, scanned, scanned with tied values) features of ds's root search."""
+    X, _ = feature_matrix(ds)
+    search = cart._SplitSearch(np.ascontiguousarray(X.T))
+    return search.counted.size, search.scanned.size, int(search.tied.sum())
+
+
+def labelled(columns, X, rng):
+    """A Dataset of the table X under ``columns`` plus a response whose
+    claims follow the first two columns, with noise."""
+    signal = X[:, 0] - X[:, 1] + rng.normal(size=X.shape[0])
+    response = np.where(signal > np.median(signal), rng.uniform(1.0, 9.0, X.shape[0]), 0.0)
+    return Dataset(tuple(columns) + (Column("y", "response"),), np.column_stack([X, response]))
+
+
+def categorical_portfolio():
+    rng = np.random.default_rng(21)
+    n = 900
+    columns = [
+        Column("region", "categorical", ("a", "b", "c", "d", "e")),
+        Column("age", "continuous"),
+        Column("fuel", "categorical", ("petrol", "diesel")),
+        Column("use", "categorical", ("private", "work", "fleet")),
+    ]
+    X = np.column_stack([
+        rng.integers(0, 5, n), rng.normal(40, 12, n), rng.integers(0, 2, n), rng.integers(0, 3, n),
+    ]).astype(float)
+    return labelled(columns, X, rng)
+
+
+def limit_edge_portfolio():
+    rng = np.random.default_rng(22)
+    n, limit = 1000, cart._COUNTED_MAX_VALUES
+    X = np.column_stack([
+        rng.integers(0, limit, n), rng.integers(0, limit + 1, n) * 0.5, rng.normal(size=n),
+    ]).astype(float)
+    return labelled([Column(f"f{j}", "continuous") for j in range(3)], X, rng)
+
+
+def signed_zero_portfolio():
+    # Rounding small negatives gives -0.0: both columns hold zeros of both signs.
+    rng = np.random.default_rng(23)
+    n = 1000
+    X = np.column_stack([np.round(rng.normal(size=n), 1), np.round(rng.normal(size=n) / 8, 1)])
+    assert all((np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()) for x in X.T)
+    return labelled([Column("wide", "continuous"), Column("narrow", "continuous")], X, rng)
+
+
+def all_counted_portfolio():
+    rng = np.random.default_rng(24)
+    n = 800
+    X = np.column_stack([rng.integers(0, 4, n), rng.integers(-2, 3, n), rng.integers(0, 2, n)]).astype(float)
+    return labelled([Column(f"f{j}", "continuous") for j in range(3)], X, rng)
+
+
+class TestSplitSearchKinds:
+    """Counting a feature's values, scanning its sorted rows and skipping
+    the tie check where the root has no ties grow, bit for bit, the trees
+    that scanning every feature with the tie check grows."""
+
+    LIMIT = cart._COUNTED_MAX_VALUES
+    PORTFOLIOS = {
+        # name: (Dataset factory, (counted, scanned, scanned with ties))
+        "simulated": (lambda: simulate(SimConfig(n=1200, seed=5)).dataset, (30, 30, 0)),
+        "categorical": (categorical_portfolio, (7, 1, 0)),
+        "limit_edges": (limit_edge_portfolio, (1, 2, 1)),
+        "signed_zeros": (signed_zero_portfolio, (1, 1, 1)),
+        "all_counted": (all_counted_portfolio, (3, 0, 0)),
+    }
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    @pytest.mark.parametrize("portfolio", list(PORTFOLIOS))
+    def test_same_tree_as_scanning_every_feature(self, monkeypatch, portfolio, impurity):
+        make, kinds = self.PORTFOLIOS[portfolio]
+        ds = make()
+        hp = TreeHyperparams(maxdepth=8, minsplit=4, impurity=impurity)
+        assert search_kinds(ds) == kinds
+        tree = grow(ds, hp)
+        assert len(split_ids(tree)) >= 2
+        monkeypatch.setattr(cart, "_COUNTED_MAX_VALUES", 0)
+        assert search_kinds(ds)[0] == 0
+        assert tree_json(grow(ds, hp)) == tree_json(tree)
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_tie_between_a_counted_and_a_scanned_feature_goes_to_the_lower(self, impurity):
+        """A continuous (scanned) column and its sign indicator (counted)
+        split the rows alike; whichever comes first wins the tie."""
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=300)
+        y = (x > 0).astype(int)
+        cut = float(x[x < 0].max() / 2 + x[x > 0].min() / 2)
+        for X, expected in (
+            (np.column_stack([x, x > 0]), SplitRule(0, cut)),
+            (np.column_stack([x > 0, x]), SplitRule(0, 0.5)),
+        ):
+            assert search_kinds(make_dataset(X, y))[:2] == (1, 1)
+            assert best_split(X, y, impurity) == expected
+
+    def test_all_counted_nodes_carry_their_row_ids(self):
+        X, _ = feature_matrix(all_counted_portfolio())
+        search = cart._SplitSearch(np.ascontiguousarray(X.T))
+        assert search.scanned.size == 0
+        assert search.order.tolist() == [list(range(X.shape[0]))]
+
+    @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
+    def test_counted_nodes_match_the_per_feature_reference(self, impurity):
+        """Every node of a tree on counted and tied scanned features, split
+        and gain bitwise those of the stable-sort, one-feature-at-a-time
+        search on the node's rows."""
+        ds = limit_edge_portfolio()
+        hp = TreeHyperparams(maxdepth=6, minsplit=4, impurity=impurity)
+        tree = grow(ds, hp)
+        X, _ = feature_matrix(ds)
+        y = ds.occurrence
+        for nid, idx in node_rows(tree, X).items():
+            node = tree.nodes[nid]
+            if node.split is not None:
+                rule, gain = per_feature_best_split(X[idx], y[idx], impurity)
+                assert (node.split, node.gain) == (rule, gain * idx.size / ds.n), f"node {nid}"
+
+    def test_zero_after_minus_5e_324_keeps_the_stable_sorts_sign(self):
+        """The threshold between -5e-324 and a zero, -5e-324/2 + zero/2, is
+        that zero, sign included, so it is the sign of the zero row that a
+        stable sort puts first, the lowest row id, whatever the row order."""
+        x = np.array([-5e-324] * 40 + [-0.0] * 40 + [0.0] * 40 + [1.0] * 40)
+        rng = np.random.default_rng(25)
+        signs = set()
+        for _ in range(12):
+            X = x[rng.permutation(x.size)][:, None]
+            rule = best_split(X, (X[:, 0] < 0).astype(int))
+            first_zero = float(X[X[:, 0] == 0.0, 0][0])
+            assert rule == SplitRule(0, 0.0) and repr(rule.threshold) == repr(first_zero)
+            signs.add(repr(first_zero))
+        assert signs == {"0.0", "-0.0"}
+
+
+def node_rows(tree, X):
+    """The training rows reaching each node of ``tree``, by node id."""
+    out = {1: np.arange(X.shape[0])}
+    for nid in sorted(tree.nodes):
+        split = tree.nodes[nid].split
+        if split is not None:
+            left = X[out[nid], split.feature] < split.threshold
+            out[2 * nid], out[2 * nid + 1] = out[nid][left], out[nid][~left]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import logging
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -377,6 +378,20 @@ class TestComparisonTable:
         svg = comparison_svg(table)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") == 2 * 2 * 7  # splits x models x measures
+
+    def test_svg_escapes_model_names(self):
+        """Names holding XML's special characters still give a well-formed
+        SVG, whose text shows them as given."""
+        train, test = self.make_split(4)
+        names = ["a&b", "c<d", "e>'f\""]
+        table = comparison_table(
+            [(name, lambda ds, k=k: ds.response * (1.0 + k)) for k, name in enumerate(names)], train, test
+        )
+        root = ElementTree.fromstring(comparison_svg(table))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        for name in names:
+            assert texts.count(name) == 2  # one row per split
+        assert texts.count("train") == texts.count("test") == 1
 
 
 class TestGrowOncePerFold:

@@ -110,6 +110,25 @@ class TestHyperparams:
         assert set(terminal_of) <= set(model.tree.terminal_ids())
         assert [predict(model, [v]) for v in x[:30]] == list(clipped[:30])
 
+    @pytest.mark.parametrize("learner", ["ols", "elastic_net"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("abc", "seed must be an integer, got 'abc'"), (-3, "seed must be >= 0, got -3"),
+         (1.5, "seed must be an integer, got 1.5"), (True, "seed must be an integer, got True")],
+    )
+    def test_fit_rejects_a_bad_seed_before_growing(self, monkeypatch, learner, seed, message):
+        """The CLI's rule and wording: an int (not a bool) >= 0."""
+        ds = simulate(SimConfig(n=300, seed=1)).dataset
+
+        def no_grow(*args, **kwargs):
+            raise AssertionError("grew a tree")
+
+        monkeypatch.setattr(hybrid_module, "grow", no_grow)
+        hp = HybridHyperparams(severity_learner=learner, glm_lambda="lambda.min")
+        with pytest.raises(ValueError) as caught:
+            fit(ds, hp, seed=seed)
+        assert str(caught.value) == message
+
 
 class TestNodeModelAssignment:
     def test_zero_threshold_zero_means_any_zero_claims_zero_node(self):
