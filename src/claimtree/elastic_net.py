@@ -20,6 +20,13 @@ coefficient by more than ``sqrt(PATH_THRESH * ||y_f - mean(y_f)||^2)``,
 worked out from that fold's training response, so the bound follows the
 response's unit. A single fit, the final full-data fit of
 :func:`fit_elastic_net` included, keeps the absolute bound ``CD_TOL``.
+
+One ``lambda.min`` path does its set-up once: the folds' Gram matrices are
+laid out coordinate-major a single time and shared by all N_LAMBDAS kernel
+calls, each coordinate step runs on buffers allocated once per sweep with
+no test for a zero move, and every fold's coefficients are kept along the
+path, so that its CV error at all penalties is scored by one matrix product
+after the path.
 """
 
 from __future__ import annotations
@@ -143,7 +150,13 @@ class CDResult:
     sweeps: int
 
 
-def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
+def _coordinate_major(G):
+    """The stack G (k, p, p) laid out as gcol[j, i, f] = G[f, i, j]: row j holds
+    column j of every problem's G, so one coordinate step reads one block."""
+    return np.ascontiguousarray(np.transpose(G, (2, 1, 0)))
+
+
+def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter, gcol=None):
     """Cyclic coordinate descent in covariance mode over a stack of k problems.
 
     Problem f is a standardized design X_f (columns of sum of squares 1)
@@ -152,13 +165,19 @@ def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
     ``q = c - G b``, which equals X_j'r, so coordinate j moves to
     soft_threshold(q_j + b_j, 2 n lam alpha) / (1 + n lam (1 - alpha)), and
     a move updates q with column j of G. Each step is vectorized over the
-    problems still running: problem f stops once a sweep moves none of its
+    problems still running, into buffers allocated once per sweep, and has
+    no test for a zero move: a coordinate that does not move rewrites b_j
+    with the same bits (a clipped coordinate is +0.0, never -0.0) and adds
+    +-0 to q, which can at most turn a -0.0 into +0.0 that no later sum
+    q_j + b_j tells apart. Problem f stops once a sweep moves none of its
     coefficients by ``tol`` (a scalar, or ``tol[f]``) or moves none at all,
     and drops out of later sweeps. Once three or fewer problems are left
     (always, for k <= 3), each runs the same steps on Python floats:
     bit-identical, and cheaper than numpy calls on so few values. A column
     that is all zeros in G and c stays exactly 0. ``beta`` (k, p) is the
-    warm start and is overwritten with the solutions. Returns the sweep
+    warm start and is overwritten with the solutions. ``gcol`` is
+    ``_coordinate_major(G)``, built here unless a caller that solves many
+    penalties on one G (the lambda.min path) passes it in. Returns the sweep
     count and the convergence flag of each problem.
     """
     k, p = beta.shape
@@ -173,7 +192,8 @@ def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
     denom = 1.0 + n * lam * (1.0 - alpha)
     b = beta.T.copy()
     q = (c - np.einsum("fij,fj->fi", G, beta)).T.copy()
-    gcol = np.ascontiguousarray(np.transpose(G, (2, 1, 0)))  # gcol[j, i, f] = G[f, i, j]
+    if gcol is None:
+        gcol = _coordinate_major(G)
     for sweep in range(1, max_iter + 1):
         start = b.copy()
         if run.size <= 3:
@@ -189,13 +209,18 @@ def _cd_kernel(G, c, n, alpha, lam, beta, tol, max_iter):
                         bl[j] = new
                 b[:, f] = bl
         else:
-            for j in range(p):
-                rho = q[j] + b[j]
-                new = (rho - np.minimum(np.maximum(rho, low), half)) / denom
-                step = b[j] - new
-                if np.count_nonzero(step):
-                    q += gcol[j] * step
-                    b[j] = new
+            rho, new, step = np.empty((3, run.size))
+            dq = np.empty_like(q)
+            for qj, bj, gj in zip(q, b, gcol):
+                np.add(qj, bj, out=rho)
+                np.maximum(rho, low, out=new)
+                np.minimum(new, half, out=new)
+                np.subtract(rho, new, out=new)
+                np.divide(new, denom, out=new)
+                np.subtract(bj, new, out=step)
+                np.multiply(gj, step, out=dq)
+                q += dq
+                bj[:] = new
         sweeps[run] = sweep
         moved = np.abs(b - start).max(axis=0, initial=0.0)
         done = (moved < tol) | (moved == 0.0)  # moving nothing is exact, even at tol 0
@@ -321,7 +346,10 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
     value zeroing all coefficients on the full data) down to lambda_max *
     LAMBDA_RATIO. Folds come from :func:`~claimtree.data.fold_indices`. One
     kernel call per lambda solves every fold at once, warm-started from the
-    previous lambda. Fold f stops once a sweep moves no coefficient by more
+    previous lambda, on the coordinate-major layout built once for the whole
+    path. Each fold's coefficients are kept at every lambda, and its test
+    error along the path is scored in one product after the last lambda.
+    Fold f stops once a sweep moves no coefficient by more
     than ``sqrt(PATH_THRESH * ||y_f - mean(y_f)||^2)`` over its training
     response y_f, so at alpha = 1 scaling y scales the grid and leaves the
     chosen index alone; a fold whose training response is constant stops
@@ -363,14 +391,18 @@ def lambda_path_cv(X, y, alpha: float, k: int = 10, seed: int = 0) -> LambdaPath
         Xte_s = np.zeros((test_idx.size, p))
         Xte_s[:, sub] = st.apply(X[test_idx][:, sub])
         tests.append((Xte_s, y[test_idx], ytr.mean()))
-    errors = np.zeros((k, grid.size))
     stalled = np.zeros((grid.size, k), dtype=bool)
+    path = np.empty((k, grid.size, p))  # path[f, l]: fold f's coefficients at grid[l]
     beta = np.zeros((k, p))
+    gcol = _coordinate_major(G)
     for li, lam in enumerate(grid):
-        _, converged = _cd_kernel(G, c, n_train, alpha, lam, beta, tol, CD_MAX_ITER)
+        _, converged = _cd_kernel(G, c, n_train, alpha, lam, beta, tol, CD_MAX_ITER, gcol)
         stalled[li] = ~converged
-        for fi, (Xte_s, y_te, y_mean) in enumerate(tests):
-            errors[fi, li] = ((y_te - (y_mean + Xte_s @ beta[fi])) ** 2).mean()
+        path[:, li] = beta
+    errors = np.array([
+        ((y_te - (y_mean + path[fi] @ Xte_s.T)) ** 2).mean(axis=1)
+        for fi, (Xte_s, y_te, y_mean) in enumerate(tests)
+    ])
     if stalled.any():
         li, fi = np.argwhere(stalled)[0]
         log.warning(

@@ -343,6 +343,16 @@ def reference_lambda_path_cv(X, y, alpha, k, seed, tol=None):
     return float(grid[np.argmin(cv_mean)]), cv_mean
 
 
+def assert_path_matches_reference(X, y, alpha, k, seed):
+    """lambda_path_cv picks the reference's lambda.min, with its CV curve
+    within rtol 1e-10 (the two solvers sum in different orders)."""
+    path = lambda_path_cv(X, y, alpha, k=k, seed=seed)
+    lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
+    assert path.lambda_min == lam_min
+    np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+    return path
+
+
 class TestLambdaPath:
     def test_pure_noise_prefers_heavy_shrinkage(self):
         rng = np.random.default_rng(17)
@@ -394,10 +404,20 @@ class TestLambdaPath:
         k = n if folds == "n" else folds
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n)
-        path = lambda_path_cv(X, y, alpha, k=k, seed=3)
-        lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=3)
-        assert path.lambda_min == lam_min
-        np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+        assert_path_matches_reference(X, y, alpha, k, seed=3)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    def test_batched_folds_match_reference_with_p_near_n(self, alpha, shape):
+        """Up to 70 columns on a few more or a few fewer rows, the regime of a
+        claim terminal (76 rows and 60 columns in the paper_enet benchmark),
+        where the ten folds stop at widely different sweeps."""
+        rng = np.random.default_rng([29, int(alpha * 2), shape == "wide"])
+        p = int(rng.integers(40, 71))
+        n = int(rng.integers(p // 2, p) if shape == "wide" else rng.integers(p + 1, p + 40))
+        X = rng.normal(size=(n, p)) @ (np.eye(p) + 0.2 * rng.normal(size=(p, p)))
+        y = X[:, :5] @ rng.normal(size=5) + rng.normal(size=n)
+        assert_path_matches_reference(X, y, alpha, k=10, seed=5)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_stacked_copies_match_single_problem_bit_for_bit(self, alpha):
@@ -418,6 +438,39 @@ class TestLambdaPath:
         assert one[1].all()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_distinct_stacked_problems_match_each_alone_bit_for_bit(self, alpha):
+        """Ten distinct fold problems, half of them with more columns than
+        rows and each with its own relative bound, stop at different sweeps,
+        so finished problems drop out while more than three still take the
+        vectorized steps. Warm-started down a path that starts next to
+        lambda_max, each problem's coefficients, sweep count and convergence
+        flag equal those of solving it alone (k = 1, the float steps)."""
+        rng = np.random.default_rng([28, int(alpha * 2)])
+        k, p = 10, 12
+        G, c = np.zeros((k, p, p)), np.zeros((k, p))
+        n, tol = np.zeros(k, dtype=int), np.zeros(k)
+        for f in range(k):
+            n[f] = int(rng.integers(6, 12) if f % 2 else rng.integers(20, 40))
+            Xs, yc = standardized_problem(rng, n[f], p)
+            G[f], c[f] = Xs.T @ Xs, Xs.T @ yc
+            tol[f] = np.sqrt(PATH_THRESH * (yc @ yc))
+        lam_top = (np.abs(c).max(axis=1) / (n * max(alpha, 1e-3))).max()
+        stacked, alone = np.zeros((k, p)), np.zeros((k, p))
+        dropped_while_vectorized = False
+        for li, lam in enumerate(lam_top * np.array([0.95, 0.3, 0.05, 0.01, 1e-3])):
+            sweeps, converged = elastic_net._cd_kernel(G, c, n, alpha, lam, stacked, tol, 2000)
+            for f in range(k):
+                one = elastic_net._cd_kernel(
+                    G[f:f + 1], c[f:f + 1], n[f:f + 1], alpha, lam, alone[f:f + 1], tol[f], 2000
+                )
+                assert (sweeps[f], converged[f]) == (one[0][0], one[1][0])
+            np.testing.assert_array_equal(stacked.view(np.int64), alone.view(np.int64))
+            dropped_while_vectorized |= (sweeps > sweeps.min()).sum() > 3
+            if li == 0 and alpha > 0:  # next to lambda_max most coefficients stay exactly 0
+                assert (stacked == 0.0).mean() > 0.75
+        assert dropped_while_vectorized
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_column_constant_in_a_training_fold_matches_reference(self, alpha):
         """A sparse indicator whose ones all sit in fold 0's test rows."""
         rng = np.random.default_rng(23)
@@ -428,10 +481,7 @@ class TestLambdaPath:
         X[fold0[:2], 4] = 1.0
         y = X @ np.array([1.0, -0.5, 0.0, 2.0, 3.0]) + rng.normal(size=n)
         assert not nonconstant_columns(np.delete(X, fold0, axis=0))[4]
-        path = lambda_path_cv(X, y, alpha, k=k, seed=seed)
-        lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
-        assert path.lambda_min == lam_min
-        np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+        assert_path_matches_reference(X, y, alpha, k, seed)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_constant_training_response_in_one_fold(self, alpha, caplog):
@@ -445,10 +495,7 @@ class TestLambdaPath:
         y = np.zeros(n)
         y[fold0[:2]] = [3.0, 5.0]
         with nothing_warned(caplog):
-            path = lambda_path_cv(X, y, alpha, k=k, seed=seed)
-        lam_min, cv_mean = reference_lambda_path_cv(X, y, alpha, k, seed=seed)
-        assert path.lambda_min == lam_min
-        np.testing.assert_allclose(path.cv_mean, cv_mean, rtol=1e-10)
+            path = assert_path_matches_reference(X, y, alpha, k, seed)
         assert path.lambda_min == reference_lambda_path_cv(X, y, alpha, k, seed=seed, tol=CD_TOL)[0]
 
     def test_scaling_y_scales_the_grid_and_keeps_the_choice(self, caplog):
