@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, _encoding, feature_matrix, require_int, require_real
+from .data import Dataset, Encoding, feature_matrix, require_int, require_real
 
 
 def _impurity_vec(name: str, p: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ class Tree:
         ``terminal_slots(feature_matrix(ds)[0])`` gives, with no encoded
         matrix built. Raises ValueError unless ``ds`` encodes to the tree's
         feature names."""
-        return self.routing.route(ds.values, self.routing.tests(ds.columns))
+        return self.routing.route(ds.values, self.routing.tests(ds.encoding))
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Terminal node id for every row of X."""
@@ -245,37 +245,36 @@ class RoutingTable:
             np.repeat(np.array(feature, dtype=np.intp), 2), np.repeat(np.array(threshold, dtype=float), 2),
             np.full(2 * len(ids), np.inf),
         )
-        self._tests: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._tests: dict[Encoding, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def tests(self, columns: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tests(self, encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(source, lo, hi)`` tests, per entry, on the table of a
-        Dataset whose schema is ``columns``, built once per schema.
+        Dataset whose schema's :class:`~claimtree.data.Encoding` is
+        ``encoding``, built once per Encoding object.
 
         A continuous split at t is ``(t, +inf)``. A Dataset's categorical
         cell is an exact category index, so a split at t on the indicator
         of level l, which sends a row left iff its indicator is below t, is
         ``(l, l)`` (left unless the cell is l) for ``0 < t <= 1``,
         ``(+inf, -inf)`` (always left) for ``t > 1`` and ``(-inf, +inf)``
-        (always right) for ``t <= 0``. Raises ValueError unless the columns
-        encode to the tree's feature names.
+        (always right) for ``t <= 0``. Raises ValueError unless the
+        encoding's names are the tree's feature names.
         """
-        if (found := self._tests.get(columns)) is not None:
+        if (found := self._tests.get(encoding)) is not None:
             return found
-        entries = list(_encoding(columns))
-        names = [name for name, _, _ in entries]
-        if names != self.feature_names:
+        if list(encoding.names) != self.feature_names:
             raise ValueError(
-                f"dataset features do not match the tree's (expected {self.feature_names}, got {names})"
+                f"dataset features do not match the tree's "
+                f"(expected {self.feature_names}, got {list(encoding.names)})"
             )
-        # entry -1 stands for a terminal's feature -1: source -1, no level
-        source = np.array([j for _, j, _ in entries] + [-1], dtype=np.intp)
-        level = np.array([np.nan if lv is None else lv for _, _, lv in entries] + [np.nan])
+        # entry -1 stands for a terminal's feature -1: source -1, level 0
         feature, t, _ = self.encoded  # per entry, as the tests built here
-        source, level = source.take(feature), level.take(feature)
-        indicator = ~np.isnan(level)
+        source = np.append(encoding.source, -1).take(feature)
+        level = np.append(encoding.level, 0).take(feature)
+        indicator = level > 0
         lo = np.where(indicator, np.where(t > 1.0, np.inf, np.where(t > 0.0, level, -np.inf)), t)
         hi = np.where(indicator, np.where(t > 1.0, -np.inf, np.where(t > 0.0, level, np.inf)), np.inf)
-        found = self._tests[columns] = (source, lo, hi)
+        found = self._tests[encoding] = (source, lo, hi)
         return found
 
     def route(self, values: np.ndarray, tests) -> np.ndarray:
@@ -724,9 +723,11 @@ def tree_from_dict(d: dict) -> Tree:
     """Rebuild a tree written by :func:`tree_to_dict`.
 
     Each child's id is derived from its parent's (root 1, children 2m and
-    2m+1) and a stored id that differs is rejected, as is a split on a
-    feature outside ``feature_names`` or at a threshold that is not a
-    finite number. Raises ValueError naming the first bad node.
+    2m+1) and a stored id that differs is rejected, as are counts that
+    are not ints with ``0 <= n_positive <= n``, a split on a feature
+    outside ``feature_names`` or at a threshold that is not a finite
+    number, and a gain that is not a finite number. Raises ValueError
+    naming the first bad node.
     """
     hp = TreeHyperparams(**d["hyperparams"])
     names = list(d["feature_names"])
@@ -737,8 +738,11 @@ def tree_from_dict(d: dict) -> Tree:
             raise ValueError(f"node id {entry['id']!r} where node {nid} belongs")
         if nid >= 2 ** (MAX_DEPTH + 1):  # routing keeps node ids in int64
             raise ValueError(f"node {nid} lies deeper than {MAX_DEPTH}")
-        require_int(**{f"node {nid} n": entry["n"], f"node {nid} n_positive": entry["n_positive"]})
-        node = TreeNode(id=nid, n_node=entry["n"], n_positive=entry["n_positive"])
+        n, n_positive = entry["n"], entry["n_positive"]
+        require_int(**{f"node {nid} n": n, f"node {nid} n_positive": n_positive})
+        if not 0 <= n_positive <= n:
+            raise ValueError(f"node {nid} n_positive {n_positive} lies outside [0, {n}]")
+        node = TreeNode(id=nid, n_node=n, n_positive=n_positive)
         nodes[nid] = node  # before the children: pre-order, as grow and prune insert
         if "split" in entry:
             feature, threshold = entry["split"]["feature"], entry["split"]["threshold"]
@@ -748,6 +752,7 @@ def tree_from_dict(d: dict) -> Tree:
                 raise ValueError(f"node {nid} splits on feature {feature}, not one of the {len(names)}")
             node.split = SplitRule(feature, threshold)
             node.gain = entry.get("gain", 0.0)
+            require_real(**{f"node {nid} gain": node.gain})
             build(entry["left"], 2 * nid)
             build(entry["right"], 2 * nid + 1)
 

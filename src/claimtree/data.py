@@ -3,7 +3,9 @@
 Every learner in the package consumes the :class:`Dataset` produced here.
 Columns are typed by a schema (continuous, categorical, response, count);
 categorical cells are stored as category indices so the whole table lives
-in one float64 matrix.
+in one float64 matrix. :class:`Encoding` is the one statement of how a
+schema's features become the encoded design that the tree and every
+severity model see; ``ds.encoding`` is its schema's object.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -162,8 +165,10 @@ class Dataset:
     """Immutable table of feature columns plus one response column.
 
     ``values`` has one column per schema entry, in schema order. Categorical
-    cells hold the category index. ``p`` is the feature count after dummy
-    encoding (k-level categoricals contribute k-1).
+    cells hold the category index. ``columns`` is kept as the tuple
+    :func:`validate_schema` returns. ``encoding`` is the schema's
+    :class:`Encoding`, and ``p`` its feature count (k-level categoricals
+    contribute k-1).
 
     The one check of a table's values: a non-finite cell anywhere, then,
     column by column in schema order, a negative response or count and a
@@ -183,7 +188,8 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        validate_schema(self.columns)
+        # the validated tuple, hashable, so Encoding.of can look it up
+        object.__setattr__(self, "columns", validate_schema(self.columns))
         values = self.values
         owner = values if getattr(values, "base", None) is None else values.base
         if not (
@@ -222,7 +228,13 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return sum(1 for _ in _encoding(self.columns))
+        return len(self.encoding.names)
+
+    @cached_property
+    def encoding(self) -> Encoding:
+        """The schema's :class:`Encoding`, the one object every Dataset of an
+        equal schema holds."""
+        return Encoding.of(self.columns)
 
     @property
     def response_column(self) -> Column:
@@ -521,47 +533,66 @@ def save_csv(ds: Dataset, path) -> None:
     write_csv(path, [c.name for c in ds.columns], list(ds.values.T), [c.categories for c in ds.columns])
 
 
-def _encoding(columns: tuple[Column, ...]):
-    """The one encoding rule, from the schema alone: yields a ``(name, source
-    index, level)`` entry per encoded feature. A continuous column passes
-    with level None; a k-level categorical gives k-1 indicators against its
-    first category (two levels keep the name, more become ``name=label``).
-    Response and count columns are not features.
+@dataclass(frozen=True, eq=False)
+class Encoding:
+    """The one encoding rule, worked out once per schema by :meth:`of`.
+
+    Per encoded feature, in order: its name, the index of its source column
+    in the schema (``source``) and the category level it indicates
+    (``level``; 0 for a continuous column, which passes through). A k-level
+    categorical gives k-1 indicators against its first category, one per
+    level 1..k-1; a two-level column keeps its name and a wider one becomes
+    ``name=label`` columns. Response and count columns are not features.
+
+    :meth:`of` keeps the last 64 schemas' objects, so equal schemas share
+    one object, which is compared and hashed by identity: a cache keyed by
+    it (the routing table's) does not hash the schema.
     """
-    for j, col in enumerate(columns):
-        if col.kind == "continuous":
-            yield col.name, j, None
-        elif col.kind == "categorical":
-            labels = col.categories[1:]
-            for level, label in enumerate(labels, start=1):
-                yield col.name if len(labels) == 1 else f"{col.name}={label}", j, level
+
+    names: tuple[str, ...]
+    source: np.ndarray
+    level: np.ndarray
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def of(columns: tuple[Column, ...]) -> Encoding:
+        entries = []
+        for j, col in enumerate(columns):
+            if col.kind == "continuous":
+                entries.append((col.name, j, 0))
+            elif col.kind == "categorical":
+                labels = col.categories[1:]
+                for level, label in enumerate(labels, start=1):
+                    entries.append((col.name if len(labels) == 1 else f"{col.name}={label}", j, level))
+        names, source, level = zip(*entries) if entries else ((), (), ())
+        source, level = np.array(source, dtype=np.intp), np.array(level, dtype=np.intp)
+        source.setflags(write=False)
+        level.setflags(write=False)
+        return Encoding(names, source, level)
 
 
 def feature_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
     """Encoded feature matrix (a fresh, Fortran-ordered array) and its
-    column names, in the order :func:`_encoding` gives."""
-    entries = list(_encoding(ds.columns))
+    column names, in the order of ``ds.encoding``."""
+    enc = ds.encoding
     # One gather copies every source column.
-    X = _indicators(ds.values[:, [j for _, j, _ in entries]], entries)
-    return X, [name for name, _, _ in entries]
+    return _indicators(ds.values[:, enc.source], enc), list(enc.names)
 
 
 def encoded_rows(ds: Dataset, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of :func:`feature_matrix`'s matrix (a fresh, C-ordered
     array, the layout indexing that matrix by ``rows`` gives), gathered
     from the table alone: no other row is encoded."""
-    entries = list(_encoding(ds.columns))
+    enc = ds.encoding
     # two takes of a few rows beat one np.ix_ gather about threefold
-    X = ds.values.take(rows, axis=0).take(np.array([j for _, j, _ in entries], dtype=np.intp), axis=1)
-    return _indicators(X, entries)
+    return _indicators(ds.values.take(rows, axis=0).take(enc.source, axis=1), enc)
 
 
-def _indicators(X: np.ndarray, entries: list) -> np.ndarray:
-    """X, the gathered source column of each :func:`_encoding` entry, with
-    every categorical one turned in place into its level's 0/1 indicator."""
-    for i, (_, _, level) in enumerate(entries):
-        if level is not None:
-            X[:, i] = X[:, i] == level
+def _indicators(X: np.ndarray, enc: Encoding) -> np.ndarray:
+    """X, the gathered source column of each feature of ``enc``, with every
+    categorical one turned in place into its level's 0/1 indicator."""
+    for i in np.flatnonzero(enc.level):
+        X[:, i] = X[:, i] == enc.level[i]
     return X
 
 

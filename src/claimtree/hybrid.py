@@ -24,7 +24,7 @@ from .cart import (
     Tree, TreeHyperparams, covers, cp_to_alpha, grow, prune, tree_from_dict, tree_to_dict, truncate,
 )
 from .data import (  # noqa: F401 (feature_matrix: perfbench traces hybrid.feature_matrix by name)
-    Column, DataError, Dataset, Standardization, _encoding, column_from_dict, column_to_dict, csv_text,
+    Column, DataError, Dataset, Encoding, Standardization, column_from_dict, column_to_dict, csv_text,
     encoded_rows, feature_matrix, json_text, nonconstant_columns, require_int, require_real,
     require_seed, validate_schema,
 )
@@ -390,6 +390,8 @@ def _node_model_from_dict(d: dict, encoded: list[str]) -> NodeModel:
     if d["kind"] == "mean":
         require_real(value=d["value"])
         return NodeModel(kind="mean", value=d["value"])
+    if d["kind"] != "linear":
+        raise ValueError(f"unknown model kind {d['kind']!r}")
     idx, coefficients = d["feature_idx"], d["coefficients"]
     if not (isinstance(idx, list) and isinstance(coefficients, list) and len(idx) == len(coefficients)):
         raise ValueError("feature_idx and coefficients must be lists of one length")
@@ -412,6 +414,13 @@ def _node_model_from_dict(d: dict, encoded: list[str]) -> NodeModel:
         if min(st["scale"], default=1.0) <= 0:
             raise ValueError("standardization scale must be > 0")
     penalty = d.get("penalty")
+    if penalty:
+        require_real(**{"penalty alpha": penalty["alpha"], "penalty lambda": penalty["lambda"]})
+    if not isinstance(d["converged"], bool):
+        raise ValueError(f"converged must be true or false, got {d['converged']!r}")
+    require_int(iterations=d["iterations"])
+    if d["iterations"] < 0:
+        raise ValueError(f"iterations must be >= 0, got {d['iterations']}")
     lf = LinearFit(
         intercept=d["intercept"],
         coefficients=np.asarray(coefficients, dtype=float),
@@ -448,13 +457,19 @@ def load(path) -> HybridModel:
     """Read back a model written by :func:`save`.
 
     Raises :class:`ModelLoadError`, naming the file, on malformed JSON, an
-    unsupported format version, or content that cannot route or score a
-    row: node ids off the heap numbering, a split on a feature that does
-    not exist or at a threshold that is not a finite number, a linear
+    unsupported format version (an int, so ``true`` is not 1), or content
+    that cannot route or score a row or would not be saved back as read:
+    node ids off the heap numbering, a node's ``n_positive`` outside
+    [0, n] or ``gain`` that is not a finite number, a split on a feature
+    that does not exist or at a threshold that is not a finite number, a
+    terminal model of a kind other than zero, mean or linear, a linear
     terminal's columns out of range or named otherwise than the tree names
     them, its standardization not one finite center and positive scale per
-    coefficient under the same names, a zero fraction outside [0, 1], or
-    stored or schema-encoded feature names that are not the tree's.
+    coefficient under the same names, a penalty that is not two finite
+    numbers, a ``converged`` that is not a bool or ``iterations`` that is
+    not an int >= 0, a zero fraction outside [0, 1], or stored or
+    schema-encoded feature names that are not the tree's. A problem in
+    one node or terminal names it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -463,23 +478,25 @@ def load(path) -> HybridModel:
         raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
     try:
         version = payload["format_version"]
-        if version != MODEL_FORMAT_VERSION:
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:  # True == 1
             raise ModelLoadError(
                 f"unsupported model format version {version} (supported: {MODEL_FORMAT_VERSION})"
             )
         hp = HybridHyperparams(**payload["hyperparams"])
         schema = validate_schema([column_from_dict(c) for c in payload["schema"]])
         tree = tree_from_dict(payload["tree"])
-        encoded = [name for name, _, _ in _encoding(schema)]
+        encoded = list(Encoding.of(schema).names)
         for what, names in (("encoded_features", payload["encoded_features"]), ("schema features", encoded)):
             if names != tree.feature_names:
                 raise ValueError(f"{what} {names} are not the tree's feature names {tree.feature_names}")
         if not isinstance(payload["node_models"], dict):
             raise ValueError("node_models must be an object keyed by node id")
-        node_models = {
-            int(tid): _node_model_from_dict(d, tree.feature_names)
-            for tid, d in payload["node_models"].items()
-        }
+        node_models = {}
+        for tid, d in payload["node_models"].items():
+            try:
+                node_models[int(tid)] = _node_model_from_dict(d, tree.feature_names)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"terminal {tid}: {exc}") from exc
         zero_fractions = {s["node_id"]: s["zero_fraction"] for s in payload["terminal_summaries"]}
         for tid, z in zero_fractions.items():
             require_real(**{f"terminal {tid} zero_fraction": z})

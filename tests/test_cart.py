@@ -28,6 +28,7 @@ from claimtree.cart import (
     misclassification,
     prune,
     to_dot,
+    tree_from_dict,
     tree_to_dict,
     truncate,
     variable_importance,
@@ -1022,6 +1023,22 @@ class TestClassify:
             tree.classify_batch(X[0])
         with pytest.raises(ValueError, match=expected):
             tree.terminal_slots(X[:, :3])
+
+
+class TestTreeFromDict:
+    @pytest.mark.parametrize("key, value, problem", [
+        ("gain", "abc", "node 1 gain must be a finite number, got 'abc'"),
+        ("gain", float("nan"), "node 1 gain must be a finite number, got nan"),
+        ("gain", float("inf"), "node 1 gain must be a finite number, got inf"),
+        ("n_positive", 10**6, r"node 1 n_positive 1000000 lies outside \[0, 600\]"),
+        ("n_positive", -1, r"node 1 n_positive -1 lies outside \[0, 600\]"),
+    ], ids=["gain string", "gain nan", "gain inf", "n_positive above n", "n_positive negative"])
+    def test_unusable_node_is_named(self, key, value, problem):
+        stored = tree_to_dict(grow(simulate(SimConfig(n=600, seed=4)).dataset, TreeHyperparams(maxdepth=2)))
+        assert "split" in stored["root"]
+        stored["root"][key] = value
+        with pytest.raises(ValueError, match=problem):
+            tree_from_dict(stored)
 
 
 class TestVariableImportance:

@@ -399,6 +399,15 @@ class TestPredictBatch:
             with pytest.raises(ValueError, match="column 'c'"):
                 predict_batch(model, Dataset((column,) + cols[1:], cells))
 
+    def test_list_schema_fits_and_predicts(self):
+        ds = claims_dataset(np.random.default_rng(3), n=400, p=2)
+        listed = Dataset(list(ds.columns), ds.values)
+        assert listed.columns == ds.columns and isinstance(listed.columns, tuple)
+        hp = HybridHyperparams(cp=0.001, maxdepth=3, zero_threshold=0.6, severity_learner="ols")
+        assert to_json(fit(listed, hp)) == to_json(fit(ds, hp))
+        for got, want in zip(predict_batch(fit(listed, hp), listed), predict_batch(fit(ds, hp), ds)):
+            np.testing.assert_array_equal(got, want)
+
     def test_never_encodes_the_whole_table(self, monkeypatch):
         """predict_batch routes on the Dataset's table and encodes only the
         rows that reach a linear terminal."""
@@ -521,6 +530,48 @@ class TestSerialization:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelLoadError, match=f"malformed model file .*: column '.*': {problem}"):
             load(path)
+
+    # edit: (where, key, stored value, the error's pattern); where is the
+    # linear terminal's entry, its penalty, the root node or the file
+    UNSAVABLE = {
+        "kind foo": ("node", "kind", "foo", "terminal {t}: unknown model kind 'foo'"),
+        "converged string": ("node", "converged", "yes",
+                             "terminal {t}: converged must be true or false, got 'yes'"),
+        "converged int": ("node", "converged", 1, "terminal {t}: converged must be true or false, got 1"),
+        "iterations negative": ("node", "iterations", -1, "terminal {t}: iterations must be >= 0, got -1"),
+        "iterations float": ("node", "iterations", 3.0, "terminal {t}: iterations must be an integer, got 3.0"),
+        "iterations bool": ("node", "iterations", True, "terminal {t}: iterations must be an integer, got True"),
+        "lambda rule": ("penalty", "lambda", "lambda.min",
+                        "terminal {t}: penalty lambda must be a finite number, got 'lambda.min'"),
+        "lambda nan": ("penalty", "lambda", float("nan"), "terminal {t}: penalty lambda must be a finite number"),
+        "format_version true": ("file", "format_version", True, "unsupported model format version True"),
+        "gain string": ("root", "gain", "abc", "node 1 gain must be a finite number, got 'abc'"),
+        "gain nan": ("root", "gain", float("nan"), "node 1 gain must be a finite number, got nan"),
+        "n_positive above n": ("root", "n_positive", 10**6, r"node 1 n_positive 1000000 lies outside \[0, 500\]"),
+    }
+
+    @pytest.mark.parametrize("edit", list(UNSAVABLE))
+    def test_field_that_would_not_be_saved_back_rejected(self, tmp_path, edit):
+        model, _ = self.fitted_elastic()
+        path = tmp_path / "model.json"
+        save(model, path)
+        payload = json.loads(path.read_text())
+        linear = next(t for t, nm in model.node_models.items() if nm.kind == "linear")
+        node = payload["node_models"][str(linear)]
+        where, key, value, problem = self.UNSAVABLE[edit]
+        root = payload["tree"]["root"]
+        target = {"node": node, "penalty": node["penalty"], "root": root, "file": payload}[where]
+        assert key in target
+        target[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelLoadError, match=problem.format(t=linear)):
+            load(path)
+
+    def test_valid_file_saves_back_byte_identically(self, tmp_path):
+        model, _ = self.fitted_elastic()
+        path = tmp_path / "model.json"
+        save(model, path)
+        assert to_json(load(path)) == path.read_text(encoding="utf-8")
 
     def test_truncated_file_rejected(self, tmp_path):
         model, _ = self.fitted_elastic(11)

@@ -20,7 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from claimtree import hybrid  # noqa: E402
-from claimtree.data import Column, Dataset, _encoding, feature_matrix  # noqa: E402
+from claimtree.data import Column, Dataset, Encoding, feature_matrix  # noqa: E402
 
 LABELS = ("a", "b", "c", "d")
 
@@ -96,7 +96,7 @@ def cases(draw):
 def edited(model, edits, path):
     """``model`` saved, with the thresholds of its first indicator splits set
     to ``edits`` in turn, and loaded back."""
-    indicators = {i for i, (_, _, level) in enumerate(_encoding(model.schema)) if level is not None}
+    indicators = set(np.flatnonzero(Encoding.of(model.schema).level).tolist())
     payload = json.loads(hybrid.to_json(model))
     pending = list(edits)
     stack = [payload["tree"]["root"]]
