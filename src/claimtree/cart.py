@@ -157,17 +157,16 @@ class Tree:
 
     def terminal_slot(self, x: np.ndarray) -> int:
         """The index in ``terminal_ids()`` of the terminal one encoded
-        feature row reaches, by a walk down the routing table."""
+        feature row reaches, by a walk down the routing table's prebuilt
+        ``walk`` record. A NaN value goes right. Raises ValueError unless
+        ``x`` holds one value per feature."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (len(self.feature_names),):
-            raise ValueError(
-                f"expected {len(self.feature_names)} feature values, got {x.shape}"
-            )
-        t = self.routing
-        feature, threshold, left, right = t.feature_list, t.threshold_list, t.left_list, t.right_list
-        k = t.root
+        shape, k, feature, threshold, left, right = self.routing.walk
+        if x.shape != shape:
+            raise ValueError(f"expected {shape[0]} feature values, got {x.shape}")
+        cells = memoryview(x)  # reads each cell as a Python float, cheaper than x[f]
         while (f := feature[k]) >= 0:
-            k = left[k] if x[f] < threshold[k] else right[k]
+            k = left[k] if cells[f] < threshold[k] else right[k]
         return k
 
     def terminal_slots(self, X: np.ndarray) -> np.ndarray:
@@ -207,18 +206,22 @@ class RoutingTable:
     ``MAX_DEPTH``), and the position a row reaches is its terminal slot.
     ``root`` is the root's position, where every walk starts. Per position
     the table holds the split feature (-1 at a terminal), the threshold,
-    both children and the heap id. The single-row walk reads these as plain
-    lists.
+    both children and the heap id. The single-row walk reads one prebuilt
+    record, ``walk``: the row shape it accepts, ``root`` and the feature,
+    threshold, left and right child of every position as plain lists.
 
     A batch is routed by one walk (:meth:`route`) over a table of values
     and a test per position, ``(source, lo, hi)``: a row at k reads its
     value v in column ``source[k]`` and goes left iff ``v < lo[k]`` or
-    ``v > hi[k]``; ``depth`` such steps take every row to its terminal. On
-    the encoded matrix (``encoded``) each feature is its own source and a
-    split at t is ``(t, +inf)``, so a NaN compares False and goes right.
+    ``v > hi[k]``; ``depth`` such steps take every row to its terminal.
+    ``hi`` is None when every entry of it would be +inf, and the walk then
+    makes the one test ``v < lo[k]``. On the encoded matrix (``encoded``)
+    each feature is its own source and a split at t is ``(t, +inf)``, so
+    the test is always one-sided and a NaN compares False and goes right.
     On a Dataset's table (:meth:`tests`) a split reads its feature's source
     column, and one on the indicator of category level l compares the
-    category index itself. The walk tracks each row's entry ``2k``: the
+    category index itself; only such a split at t > 0 makes the tests
+    two-sided. The walk tracks each row's entry ``2k``: the
     tests hold every position's value at both its entries, and ``child``
     holds the entry of the left child at ``2k + 1`` and of the right one at
     ``2k`` (a terminal's are its own), so a row moves to
@@ -234,20 +237,18 @@ class RoutingTable:
         left = [k if s is None else at[2 * nid] for k, (nid, s) in enumerate(zip(ids, splits))]
         right = [k if s is None else at[2 * nid + 1] for k, (nid, s) in enumerate(zip(ids, splits))]
         self.feature_names = tree.feature_names
-        self.feature_list, self.threshold_list = feature, threshold
-        self.left_list, self.right_list = left, right
         self.node_id_list = ids
         self.root = at[1]
+        self.walk = ((len(tree.feature_names),), self.root, feature, threshold, left, right)
         self.depth = max(ids).bit_length() - 1
         self.child = 2 * np.column_stack([right, left]).astype(np.intp).ravel()
         self.node_id = np.array(ids, dtype=np.int64)
         self.encoded = (
-            np.repeat(np.array(feature, dtype=np.intp), 2), np.repeat(np.array(threshold, dtype=float), 2),
-            np.full(2 * len(ids), np.inf),
+            np.repeat(np.array(feature, dtype=np.intp), 2), np.repeat(np.array(threshold, dtype=float), 2), None,
         )
-        self._tests: dict[Encoding, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._tests: dict[Encoding, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
-    def tests(self, encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tests(self, encoding: Encoding) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The ``(source, lo, hi)`` tests, per entry, on the table of a
         Dataset whose schema's :class:`~claimtree.data.Encoding` is
         ``encoding``, built once per Encoding object.
@@ -257,8 +258,10 @@ class RoutingTable:
         of level l, which sends a row left iff its indicator is below t, is
         ``(l, l)`` (left unless the cell is l) for ``0 < t <= 1``,
         ``(+inf, -inf)`` (always left) for ``t > 1`` and ``(-inf, +inf)``
-        (always right) for ``t <= 0``. Raises ValueError unless the
-        encoding's names are the tree's feature names.
+        (always right) for ``t <= 0``; ``hi`` is None when all of it is
+        +inf, so a tree without an indicator split at t > 0 is routed with
+        one comparison per level. Raises ValueError unless the encoding's
+        names are the tree's feature names.
         """
         if (found := self._tests.get(encoding)) is not None:
             return found
@@ -274,12 +277,13 @@ class RoutingTable:
         indicator = level > 0
         lo = np.where(indicator, np.where(t > 1.0, np.inf, np.where(t > 0.0, level, -np.inf)), t)
         hi = np.where(indicator, np.where(t > 1.0, -np.inf, np.where(t > 0.0, level, np.inf)), np.inf)
-        found = self._tests[encoding] = (source, lo, hi)
+        found = self._tests[encoding] = (source, lo, None if (hi == np.inf).all() else hi)
         return found
 
     def route(self, values: np.ndarray, tests) -> np.ndarray:
         """Slot of the terminal that each row of the 2-D float ``values``
-        reaches under the per-entry ``(source, lo, hi)`` tests."""
+        reaches under the per-entry ``(source, lo, hi)`` tests; a ``hi`` of
+        None stands for +inf at every entry."""
         source, lo, hi = tests
         n, p = values.shape
         # Cell (r, j) is flat[r * row_step + j * col_step]. For an F- or
@@ -299,7 +303,8 @@ class RoutingTable:
             cell += rows
             v = flat.take(cell)
             go_left = v < lo.take(entry)
-            go_left |= v > hi.take(entry)
+            if hi is not None:
+                go_left |= v > hi.take(entry)
             entry += go_left
             entry = self.child.take(entry)
         return entry >> 1

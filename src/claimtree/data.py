@@ -201,25 +201,7 @@ class Dataset:
         if values.ndim != 2 or values.shape[1] != len(self.columns):
             raise DataError("values shape does not match schema")
         object.__setattr__(self, "values", values)
-        finite = np.isfinite(values)
-        if not finite.all():
-            r, j = np.argwhere(~finite)[0]
-            raise DataError(f"row {r + 1}, column {self.columns[j].name!r}: non-finite value {values[r, j]}")
-        for j, col in enumerate(self.columns):
-            cells = values[:, j]
-            if col.kind == "categorical":
-                bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= len(col.categories))
-            elif col.kind in ("response", "count"):
-                bad = cells < 0
-            else:
-                continue
-            if bad.any():
-                r = int(np.argmax(bad))
-                problem = (
-                    f"{cells[r]} is not a category index in [0, {len(col.categories)})"
-                    if col.kind == "categorical" else f"negative {col.kind} {cells[r]}"
-                )
-                raise DataError(f"row {r + 1}, column {col.name!r}: {problem}")
+        _check_values(self.columns, values)
         self.values.setflags(write=False)
 
     @property
@@ -273,17 +255,49 @@ class Dataset:
         whose steps are all +1, ``np.arange(a, b)``) gives a view of this
         table, no copy; the view keeps this whole table alive. Any other
         selection is copied once, by the indexing, and the new Dataset
-        keeps that copy.
+        keeps that copy. The rows were checked when this Dataset was
+        built, so they are not checked again.
         """
         rows = np.asarray(row_idx)
         if (
             rows.ndim == 1 and rows.dtype.kind in "iu" and rows.size
             and rows[0] >= 0 and rows[-1] < self.n and (np.diff(rows) == 1).all()
         ):
-            return Dataset(self.columns, self.values[rows[0]:rows[-1] + 1])
-        values = self.values[row_idx]
-        values.setflags(write=False)
-        return Dataset(self.columns, values)
+            values = self.values[rows[0]:rows[-1] + 1]
+        else:
+            values = self.values[row_idx]
+            values.setflags(write=False)
+        if values.ndim != 2:
+            raise DataError("values shape does not match schema")
+        # Rows of this checked table under the same schema: built without
+        # __post_init__, so the values are not checked a second time.
+        subset = object.__new__(Dataset)
+        object.__setattr__(subset, "columns", self.columns)
+        object.__setattr__(subset, "values", values)
+        return subset
+
+
+def _check_values(columns: tuple[Column, ...], values: np.ndarray) -> None:
+    """The one check of a table's values (see :class:`Dataset`)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        raise DataError(f"row {r + 1}, column {columns[j].name!r}: non-finite value {values[r, j]}")
+    for j, col in enumerate(columns):
+        cells = values[:, j]
+        if col.kind == "categorical":
+            bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= len(col.categories))
+        elif col.kind in ("response", "count"):
+            bad = cells < 0
+        else:
+            continue
+        if bad.any():
+            r = int(np.argmax(bad))
+            problem = (
+                f"{cells[r]} is not a category index in [0, {len(col.categories)})"
+                if col.kind == "categorical" else f"negative {col.kind} {cells[r]}"
+            )
+            raise DataError(f"row {r + 1}, column {col.name!r}: {problem}")
 
 
 def column_from_dict(entry: dict) -> Column:

@@ -148,6 +148,20 @@ class HybridModel:
         not to change once the model has predicted."""
         return [self.node_models[tid] for tid in self.tree.terminal_ids()]
 
+    @cached_property
+    def slot_scorers(self) -> list[tuple]:
+        """Per terminal slot, what :func:`predict` reads for one row: a
+        constant term, then the columns and coefficients of the linear
+        part. That is ``(value, None, None)`` for a terminal without a fit,
+        its value already floored at 0, and ``(intercept, feature_idx,
+        coefficients)`` for a linear one. Built on first use, like
+        ``slot_models``."""
+        return [
+            (max(float(nm.value), 0.0), None, None) if nm.fit is None
+            else (nm.fit.intercept, nm.feature_idx, nm.fit.coefficients)
+            for nm in self.slot_models
+        ]
+
 
 # The HybridHyperparams fields a non-zero terminal's severity model depends
 # on: all but those that only shape the tree, and zero_threshold, which only
@@ -204,7 +218,8 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     cross-validation when glm_lambda is "lambda.min"; it must be an int
     >= 0 (ValueError otherwise, before any work). Each terminal's row
     and zero counts are tallied over the routed rows at once, so a zero
-    terminal is decided without gathering its rows. Rows are routed on the
+    terminal is decided without gathering its rows, and the rows of the
+    terminals still to fit are grouped in one pass. Rows are routed on the
     table of ``ds``, and only the rows of a terminal given a regression are
     encoded.
 
@@ -239,20 +254,20 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
     # repr tells 1 from 1.0, which a stored penalty would show
     severity = repr([getattr(hp, name) for name in _SEVERITY_FIELDS])
 
-    node_models: dict[int, NodeModel] = {}
-    zero_fractions: dict[int, float] = {}
-    for j, tid in enumerate(terminals):
-        zero_fractions[tid] = float(shares[j])
-        # Precedence: the majority-no-claim gate, then the zero rule.
-        if tree.nodes[tid].beta_f == 0 or zero_fractions[tid] > hp.zero_threshold:
-            node_models[tid] = NodeModel(kind="zero")
-            continue
-        key = (tid, severity, seed)
-        if key not in shared.node_models:
-            shared.node_models[key] = _fit_node_model(
-                ds, np.flatnonzero(slot == j), tree.feature_names, hp, seed, tid
-            )
-        node_models[tid] = shared.node_models[key]
+    zero_fractions = {tid: float(shares[j]) for j, tid in enumerate(terminals)}
+    # The key of each slot whose terminal is not zero. Precedence: the
+    # majority-no-claim gate, then the zero rule.
+    keys = {
+        j: (tid, severity, seed) for j, tid in enumerate(terminals)
+        if not (tree.nodes[tid].beta_f == 0 or zero_fractions[tid] > hp.zero_threshold)
+    }
+    fresh = [j for j, key in keys.items() if key not in shared.node_models]
+    for j, rows in zip(fresh, _rows_by_slot(slot, fresh, len(terminals))):
+        shared.node_models[keys[j]] = _fit_node_model(ds, rows, tree.feature_names, hp, seed, terminals[j])
+    node_models = {
+        tid: shared.node_models[keys[j]] if j in keys else NodeModel(kind="zero")
+        for j, tid in enumerate(terminals)
+    }
     return HybridModel(
         tree=tree,
         node_models=node_models,
@@ -261,6 +276,20 @@ def fit(ds: Dataset, hp: HybridHyperparams, seed: int = 0) -> HybridModel:
         fit_metadata={"seed": seed, "software_version": __version__},
         zero_fractions=zero_fractions,
     )
+
+
+def _rows_by_slot(slot: np.ndarray, wanted: list[int], n_slots: int) -> list[np.ndarray]:
+    """``[np.flatnonzero(slot == j) for j in wanted]``, in one pass over
+    ``slot`` (each entry in ``range(n_slots)``); ``wanted`` is ascending
+    and holds no slot twice. The rows of the wanted slots are ordered by
+    slot with one stable argsort, so each slot's rows stay ascending."""
+    is_wanted = np.zeros(n_slots, dtype=bool)
+    is_wanted[wanted] = True
+    rows = np.flatnonzero(is_wanted.take(slot))
+    keys = slot.take(rows)
+    rows = rows.take(np.argsort(keys, kind="stable"))
+    ends = np.bincount(keys, minlength=n_slots).take(wanted).cumsum().tolist()
+    return [rows[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _fit_node_model(ds, rows, names, hp, seed, tid) -> NodeModel:
@@ -318,18 +347,27 @@ def predict_batch(model: HybridModel, ds: Dataset):
     # Terminals without a fit fill by one gather of their values; only
     # linear ones need their rows.
     raw = np.array([nm.value for nm in node_models], dtype=float).take(slot)
-    for j, nm in enumerate(node_models):
-        if nm.fit is not None:
-            rows = np.flatnonzero(slot == j)
-            raw[rows] = nm.predict(encoded_rows(ds, rows))
+    linear = [j for j, nm in enumerate(node_models) if nm.fit is not None]
+    for j, rows in zip(linear, _rows_by_slot(slot, linear, len(node_models))):
+        raw[rows] = node_models[j].predict(encoded_rows(ds, rows))
     return model.tree.routing.node_id.take(slot), raw, np.maximum(raw, 0.0)
 
 
 def predict(model: HybridModel, x: np.ndarray) -> float:
-    """Predict one encoded feature row; negative values clip to 0."""
-    nm = model.slot_models[model.tree.terminal_slot(x)]
-    raw = nm.value if nm.fit is None else nm.predict(x)[0]
-    return max(float(raw), 0.0)
+    """Predict one encoded feature row; negative values clip to 0.
+
+    The row is routed by :meth:`~claimtree.cart.Tree.terminal_slot` and
+    scored from the model's prebuilt ``slot_scorers``: a terminal without a
+    fit returns its stored floored value, and a linear one computes
+    ``intercept + x[None, feature_idx] @ coefficients``, the one-row product
+    :meth:`NodeModel.predict` makes. Raises ValueError unless ``x`` holds
+    one value per encoded feature.
+    """
+    x = np.asarray(x, dtype=float)
+    constant, feature_idx, coefficients = model.slot_scorers[model.tree.terminal_slot(x)]
+    if feature_idx is None:
+        return constant
+    return max(float((constant + x[None, feature_idx] @ coefficients)[0]), 0.0)
 
 
 def coefficient_report(model: HybridModel) -> dict[int, dict[str, float]]:
@@ -480,7 +518,8 @@ def load(path) -> HybridModel:
         version = payload["format_version"]
         if type(version) is not int or version != MODEL_FORMAT_VERSION:  # True == 1
             raise ModelLoadError(
-                f"unsupported model format version {version} (supported: {MODEL_FORMAT_VERSION})"
+                f"model file {path}: unsupported model format version {version} "
+                f"(supported: {MODEL_FORMAT_VERSION})"
             )
         hp = HybridHyperparams(**payload["hyperparams"])
         schema = validate_schema([column_from_dict(c) for c in payload["schema"]])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from claimtree import data
 from claimtree.data import (
     Column,
     DataError,
@@ -257,6 +258,22 @@ class TestOneCopy:
         assert not sub.values.flags.writeable
         np.testing.assert_array_equal(sub.values, ds.values[rows])
 
+    @pytest.mark.parametrize("rows", [np.arange(100, 9000), np.arange(9000, 100, -1)], ids=["view", "copy"])
+    def test_subset_is_not_checked_again(self, ds, rows, monkeypatch):
+        """The rows of a checked table are not checked a second time, and a
+        Dataset built from the same values from outside still is."""
+        calls = []
+        check = data._check_values
+        monkeypatch.setattr(data, "_check_values", lambda *args: calls.append(args) or check(*args))
+        sub = ds.subset(rows)
+        assert calls == []
+        assert sub.columns == ds.columns and sub.encoding is ds.encoding
+        assert not sub.values.flags.writeable
+        assert np.shares_memory(sub.values, ds.values) == (rows[1] > rows[0])
+        np.testing.assert_array_equal(sub.values, ds.values[rows])
+        again = Dataset(ds.columns, sub.values)
+        assert len(calls) == 1 and again.values is sub.values
+
     def test_run_past_the_end_raises(self, ds):
         with pytest.raises(IndexError):
             ds.subset(np.arange(ds.n - 2, ds.n + 1))
@@ -267,7 +284,7 @@ class TestOneCopy:
         assert peak <= 1.5 * sub.values.nbytes
 
     def test_contiguous_subset_peak(self, ds):
-        # the value check's isfinite mask is 1/8 of the view's bytes
+        # a view, and its rows are not checked again: no allocation of their size
         rows = np.arange(ds.n // 4, ds.n)
         sub, peak = traced_peak(lambda: ds.subset(rows))
         assert peak <= 0.2 * sub.values.nbytes
