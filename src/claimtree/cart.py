@@ -153,7 +153,7 @@ class Tree:
 
     def classify(self, x: np.ndarray) -> int:
         """Route one feature row to its terminal; returns the terminal's node id."""
-        return self.routing.node_id_list[self.terminal_slot(x)]
+        return int(self.routing.node_id[self.terminal_slot(x)])
 
     def terminal_slot(self, x: np.ndarray) -> int:
         """The index in ``terminal_ids()`` of the terminal one encoded
@@ -206,9 +206,9 @@ class RoutingTable:
     ``MAX_DEPTH``), and the position a row reaches is its terminal slot.
     ``root`` is the root's position, where every walk starts. Per position
     the table holds the split feature (-1 at a terminal), the threshold,
-    both children and the heap id. The single-row walk reads one prebuilt
-    record, ``walk``: the row shape it accepts, ``root`` and the feature,
-    threshold, left and right child of every position as plain lists.
+    both children and the heap id, ``node_id``. The single-row walk reads
+    one prebuilt record, ``walk``: the row shape it accepts, ``root`` and
+    the feature, threshold, left and right child of every position as lists.
 
     A batch is routed by one walk (:meth:`route`) over a table of values
     and a test per position, ``(source, lo, hi)``: a row at k reads its
@@ -237,7 +237,6 @@ class RoutingTable:
         left = [k if s is None else at[2 * nid] for k, (nid, s) in enumerate(zip(ids, splits))]
         right = [k if s is None else at[2 * nid + 1] for k, (nid, s) in enumerate(zip(ids, splits))]
         self.feature_names = tree.feature_names
-        self.node_id_list = ids
         self.root = at[1]
         self.walk = ((len(tree.feature_names),), self.root, feature, threshold, left, right)
         self.depth = max(ids).bit_length() - 1

@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,6 +47,20 @@ from .simulate import SimConfig, save_latents_csv, simulate
 
 class CliValidationError(Exception):
     """Bad flags or config values; maps to exit code 1."""
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """A run's own settings beside the model's: its seed and tune's fold count."""
+
+    seed: int = 0
+    folds: int = 10
+
+    def __post_init__(self):
+        require_seed(self.seed)
+        require_int(folds=self.folds)
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,26 +205,11 @@ def _load_config_file(args) -> dict:
     cfg = _read_json_input(args.config, "config")
     if not isinstance(cfg, dict):
         raise CliValidationError("config file must hold a JSON object")
+    # a key of any command's settings, so that one file may serve several commands
+    unknown = sorted(set(cfg) - {f.name for c in (SimConfig, HybridHyperparams, RunSettings) for f in fields(c)})
+    if unknown:
+        raise CliValidationError(f"config file {args.config}: unknown settings {unknown}")
     return cfg
-
-
-def _resolve(args, cfg: dict, name: str, default):
-    flag_value = getattr(args, name, None)
-    if flag_value is not None:
-        return flag_value
-    if name in cfg:
-        return cfg[name]
-    return default
-
-
-def _resolve_seed(args, cfg: dict) -> int:
-    """The run's seed (flag, else config key, else 0): an integer >= 0."""
-    seed = _resolve(args, cfg, "seed", 0)
-    try:
-        require_seed(seed)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
-    return seed
 
 
 def _parse_glm_lambda(value):
@@ -227,8 +226,8 @@ def _parse_glm_lambda(value):
 
 def _from_flags(cls, args, cfg: dict):
     """Build a settings dataclass field by field: flag, else config key, else default."""
-    resolved = {f.name: _resolve(args, cfg, f.name, MISSING) for f in fields(cls)}
-    kwargs = {name: value for name, value in resolved.items() if value is not MISSING}
+    kwargs = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+    kwargs.update((f.name, flag) for f in fields(cls) if (flag := getattr(args, f.name, None)) is not None)
     if "glm_lambda" in kwargs:  # flags and config files may give the penalty as text
         kwargs["glm_lambda"] = _parse_glm_lambda(kwargs["glm_lambda"])
     try:
@@ -293,12 +292,12 @@ def _load_dataset(data_path: str, schema_path: str) -> Dataset:
 def cmd_train(args) -> int:
     cfg = _load_config_file(args)
     hp = _from_flags(HybridHyperparams, args, cfg)
-    seed = _resolve_seed(args, cfg)
+    run = _from_flags(RunSettings, args, cfg)
     out = _prepare_out_dir(
         args.out, args.force, ["model.json", "fit_report.json", "coefficients.csv", "manifest.json"]
     )
     ds = _load_dataset(args.data, args.schema)
-    model = fit(ds, hp, seed=seed)
+    model = fit(ds, hp, seed=run.seed)
     save(model, out / "model.json")
     report = {
         "n": ds.n,
@@ -307,7 +306,7 @@ def cmd_train(args) -> int:
     }
     write_json(out / "fit_report.json", report)
     (out / "coefficients.csv").write_text(format_coefficient_table(model), encoding="utf-8")
-    _write_manifest(out, "train", {"hyperparams": hp.to_dict(), "data": args.data}, seed)
+    _write_manifest(out, "train", {"hyperparams": hp.to_dict(), "data": args.data}, run.seed)
     print(f"wrote {out / 'model.json'} ({report['n_terminals']} terminals)")
     return 0
 
@@ -323,24 +322,16 @@ def _hybrid_learner(hp: HybridHyperparams, seed: int):
 def cmd_tune(args) -> int:
     cfg = _load_config_file(args)
     base = _from_flags(HybridHyperparams, args, cfg)
-    seed = _resolve_seed(args, cfg)
-    folds = _resolve(args, cfg, "folds", 10)
+    run = _from_flags(RunSettings, args, cfg)
     grid = _read_json_input(args.grid, "grid")
     if not isinstance(grid, dict) or not grid:
         raise CliValidationError("grid file must map hyperparameter names to value lists")
-    known = {f.name for f in fields(HybridHyperparams)}
-    unknown = set(grid) - known
+    unknown = sorted(set(grid) - {f.name for f in fields(HybridHyperparams)})
     if unknown:
-        raise CliValidationError(f"unknown grid hyperparameters: {sorted(unknown)}")
+        raise CliValidationError(f"unknown grid hyperparameters: {unknown}")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise CliValidationError(f"grid values for {key!r} must be a non-empty list")
-    try:
-        require_int(folds=folds)
-    except ValueError as exc:
-        raise CliValidationError(str(exc)) from None
-    if folds < 2:
-        raise CliValidationError(f"folds must be >= 2, got {folds}")
     out = _prepare_out_dir(args.out, args.force, ["winner.json", "cv_table.csv", "manifest.json"])
     ds = _load_dataset(args.data, args.schema)
 
@@ -349,9 +340,9 @@ def cmd_tune(args) -> int:
             hp = replace(base, **params)
         except (TypeError, ValueError) as exc:
             raise CliValidationError(f"grid cell {params}: {exc}") from exc
-        return _hybrid_learner(hp, seed)
+        return _hybrid_learner(hp, run.seed)
 
-    result = grid_search(ds, grid, k=folds, seed=seed, learner_factory=factory)
+    result = grid_search(ds, grid, k=run.folds, seed=run.seed, learner_factory=factory)
     winner_hp = {**base.to_dict(), **result.winner.params}
     write_json(
         out / "winner.json",
@@ -365,8 +356,8 @@ def cmd_tune(args) -> int:
     _write_manifest(
         out,
         "tune",
-        {"base_hyperparams": base.to_dict(), "grid": grid, "folds": folds, "data": args.data},
-        seed,
+        {"base_hyperparams": base.to_dict(), "grid": grid, "folds": run.folds, "data": args.data},
+        run.seed,
     )
     print(f"winner: {result.winner.params} (mean fold RMSE {result.winner.mean_rmse:.6g})")
     return 0
@@ -403,7 +394,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config_file(args)
-    seed = _resolve_seed(args, cfg)
+    run = _from_flags(RunSettings, args, cfg)
     # a stored model is named by its path as given, less ".json"
     names = [path.removesuffix(".json") for path in args.models]
     if not args.no_baselines:
@@ -424,7 +415,7 @@ def cmd_compare(args) -> int:
     if not args.no_baselines:
         predictors.append(constant_mean_learner(ds_train))
         mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
-        tree_model = fit(ds_train, mean_leaf_hp, seed=seed)
+        tree_model = fit(ds_train, mean_leaf_hp, seed=run.seed)
         predictors.append(lambda ds, m=tree_model: predict_batch(m, ds)[2])
     models = list(zip(names, predictors))
     table = comparison_table(models, ds_train, ds_test)
@@ -434,7 +425,7 @@ def cmd_compare(args) -> int:
         out,
         "compare",
         {"models": list(args.models), "train": args.train, "test": args.test},
-        seed,
+        run.seed,
     )
     print(f"wrote {out / 'comparison.csv'} ({len(models)} models)")
     return 0

@@ -26,7 +26,7 @@ from .cart import (
 from .data import (  # noqa: F401 (feature_matrix: perfbench traces hybrid.feature_matrix by name)
     Column, DataError, Dataset, Encoding, Standardization, column_from_dict, column_to_dict, csv_text,
     encoded_rows, feature_matrix, json_text, nonconstant_columns, require_int, require_real,
-    require_seed, validate_schema,
+    require_seed, validate_schema, write_json,
 )
 from .elastic_net import (
     LAMBDA_MIN,
@@ -142,24 +142,16 @@ class HybridModel:
         ]
 
     @cached_property
-    def slot_models(self) -> list[NodeModel]:
-        """The node models in terminal-slot order (``tree.terminal_ids()``),
-        which prediction indexes. Built on first use, so ``node_models`` is
-        not to change once the model has predicted."""
-        return [self.node_models[tid] for tid in self.tree.terminal_ids()]
-
-    @cached_property
     def slot_scorers(self) -> list[tuple]:
-        """Per terminal slot, what :func:`predict` reads for one row: a
-        constant term, then the columns and coefficients of the linear
-        part. That is ``(value, None, None)`` for a terminal without a fit,
-        its value already floored at 0, and ``(intercept, feature_idx,
-        coefficients)`` for a linear one. Built on first use, like
-        ``slot_models``."""
+        """Per terminal slot (``tree.terminal_ids()`` order), what both
+        prediction paths read: ``(value, None, None)`` for a terminal
+        without a fit, its value floored at 0, and ``(intercept,
+        feature_idx, coefficients)`` for a linear one. Built on first use,
+        so ``node_models`` is not to change once the model has predicted."""
         return [
             (max(float(nm.value), 0.0), None, None) if nm.fit is None
             else (nm.fit.intercept, nm.feature_idx, nm.fit.coefficients)
-            for nm in self.slot_models
+            for nm in (self.node_models[tid] for tid in self.tree.terminal_ids())
         ]
 
 
@@ -331,7 +323,8 @@ def predict_batch(model: HybridModel, ds: Dataset):
     diagnostics; the claim prediction is the raw value floored at 0.
 
     Rows are routed on the table of ``ds`` itself
-    (:meth:`~claimtree.cart.Tree.dataset_slots`), and only the rows that
+    (:meth:`~claimtree.cart.Tree.dataset_slots`) and scored from
+    ``slot_scorers``, as :func:`predict` scores one; only the rows that
     reach a linear terminal are encoded (:func:`~claimtree.data.encoded_rows`).
     The response and count columns may sit anywhere in ``ds``, but its
     features must encode to the model's feature names, in order, and each
@@ -343,13 +336,14 @@ def predict_batch(model: HybridModel, ds: Dataset):
     for col in ds.columns:
         if col.kind in ("continuous", "categorical") and schema.get(col.name) != col:
             raise ValueError(f"column {col.name!r} is {col}, where the model has {schema.get(col.name)}")
-    node_models = model.slot_models
+    scorers = model.slot_scorers
     # Terminals without a fit fill by one gather of their values; only
-    # linear ones need their rows.
-    raw = np.array([nm.value for nm in node_models], dtype=float).take(slot)
-    linear = [j for j, nm in enumerate(node_models) if nm.fit is not None]
-    for j, rows in zip(linear, _rows_by_slot(slot, linear, len(node_models))):
-        raw[rows] = node_models[j].predict(encoded_rows(ds, rows))
+    # linear ones need their rows, whose gathered intercepts are overwritten.
+    raw = np.array([constant for constant, _, _ in scorers], dtype=float).take(slot)
+    linear = [j for j, (_, feature_idx, _) in enumerate(scorers) if feature_idx is not None]
+    for j, rows in zip(linear, _rows_by_slot(slot, linear, len(scorers))):
+        intercept, feature_idx, coefficients = scorers[j]
+        raw[rows] = intercept + encoded_rows(ds, rows)[:, feature_idx] @ coefficients
     return model.tree.routing.node_id.take(slot), raw, np.maximum(raw, 0.0)
 
 
@@ -359,9 +353,9 @@ def predict(model: HybridModel, x: np.ndarray) -> float:
     The row is routed by :meth:`~claimtree.cart.Tree.terminal_slot` and
     scored from the model's prebuilt ``slot_scorers``: a terminal without a
     fit returns its stored floored value, and a linear one computes
-    ``intercept + x[None, feature_idx] @ coefficients``, the one-row product
-    :meth:`NodeModel.predict` makes. Raises ValueError unless ``x`` holds
-    one value per encoded feature.
+    ``intercept + x[None, feature_idx] @ coefficients``, the product
+    :func:`predict_batch` makes, on one row. Raises ValueError unless
+    ``x`` holds one value per encoded feature.
     """
     x = np.asarray(x, dtype=float)
     constant, feature_idx, coefficients = model.slot_scorers[model.tree.terminal_slot(x)]
@@ -427,6 +421,8 @@ def _node_model_from_dict(d: dict, encoded: list[str]) -> NodeModel:
         return NodeModel(kind="zero")
     if d["kind"] == "mean":
         require_real(value=d["value"])
+        if d["value"] < 0:  # a mean of claims, which are never negative
+            raise ValueError(f"mean value {d['value']} is negative")
         return NodeModel(kind="mean", value=d["value"])
     if d["kind"] != "linear":
         raise ValueError(f"unknown model kind {d['kind']!r}")
@@ -471,8 +467,9 @@ def _node_model_from_dict(d: dict, encoded: list[str]) -> NodeModel:
     return NodeModel(kind="linear", fit=lf, feature_idx=np.asarray(idx, dtype=int))
 
 
-def to_json(model: HybridModel) -> str:
-    payload = {
+def _payload(model: HybridModel) -> dict:
+    """The object :func:`to_json` renders, :func:`save` writes and :func:`load` checks."""
+    return {
         "format_version": MODEL_FORMAT_VERSION,
         "hyperparams": model.hyperparams.to_dict(),
         "schema": [column_to_dict(c) for c in model.schema],
@@ -482,13 +479,15 @@ def to_json(model: HybridModel) -> str:
         "fit_metadata": model.fit_metadata,
         "terminal_summaries": [asdict(s) for s in model.terminal_summaries],
     }
-    return json_text(payload)
+
+
+def to_json(model: HybridModel) -> str:
+    return json_text(_payload(model))
 
 
 def save(model: HybridModel, path) -> None:
     """Write the model as JSON; loading reproduces predictions exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(model))
+    write_json(path, _payload(model))
 
 
 def load(path) -> HybridModel:
@@ -505,9 +504,11 @@ def load(path) -> HybridModel:
     them, its standardization not one finite center and positive scale per
     coefficient under the same names, a penalty that is not two finite
     numbers, a ``converged`` that is not a bool or ``iterations`` that is
-    not an int >= 0, a zero fraction outside [0, 1], or stored or
-    schema-encoded feature names that are not the tree's. A problem in
-    one node or terminal names it.
+    not an int >= 0, a negative mean, a zero fraction outside [0, 1],
+    stored or schema-encoded feature names that are not the tree's, tree
+    settings that are not the model's, or entries :func:`save` would not
+    write back as read (a majority class, a terminal summary, an unknown
+    key). A problem in one node or terminal names it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -548,14 +549,21 @@ def load(path) -> HybridModel:
                     f"{key} must cover exactly the tree's terminals "
                     f"(missing {sorted(terminals - ids)}, extra {sorted(ids - terminals)})"
                 )
-        return HybridModel(
+        if tree.hyperparams != hp.tree_hyperparams():
+            raise ValueError(f"tree hyperparams {tree.hyperparams} are not the model's {hp.tree_hyperparams()}")
+        model = HybridModel(
             tree=tree,
             node_models=node_models,
             hyperparams=hp,
             schema=schema,
-            fit_metadata=payload.get("fit_metadata", {}),
+            fit_metadata=payload["fit_metadata"],
             zero_fractions=zero_fractions,
         )
+        saved = _payload(model)
+        differ = sorted(k for k in saved.keys() | payload.keys() if k not in saved or payload.get(k) != saved[k])
+        if differ:
+            raise ValueError(f"{', '.join(differ)} would not be saved back as read")
+        return model
     except ModelLoadError:
         raise
     except (DataError, KeyError, TypeError, ValueError) as exc:

@@ -986,9 +986,9 @@ class TestClassify:
         tree = random_tree(np.random.default_rng(7), maxdepth=6)
         table, terminals = tree.routing, tree.terminal_ids()
         assert len(terminals) > 2
-        assert table.node_id_list[:len(terminals)] == terminals
-        assert sorted(table.node_id_list) == sorted(tree.nodes)
-        assert table.node_id_list[table.root] == 1
+        assert table.node_id[:len(terminals)].tolist() == terminals
+        assert sorted(table.node_id.tolist()) == sorted(tree.nodes)
+        assert table.node_id[table.root] == 1
         X = np.random.default_rng(8).normal(size=(500, 3))
         slots = tree.terminal_slots(X)
         assert slots.max() < len(terminals)
@@ -996,7 +996,7 @@ class TestClassify:
 
     def test_root_only_tree_has_one_slot(self):
         tree = grow(make_dataset(np.arange(4.0)[:, None], [1, 1, 1, 1]))
-        assert tree.routing.root == 0 and tree.routing.node_id_list == [1]
+        assert tree.routing.root == 0 and tree.routing.node_id.tolist() == [1]
         np.testing.assert_array_equal(tree.terminal_slots(np.zeros((3, 1))), [0, 0, 0])
 
     def test_empty_batch(self):

@@ -107,6 +107,20 @@ def _edit_model(payload, edit):
         payload["terminal_summaries"][0]["zero_fraction"] = "lots"
     elif edit == "zero_fraction above 1":
         payload["terminal_summaries"][0]["zero_fraction"] = 1.5
+    elif edit == "summary n":
+        payload["terminal_summaries"][1]["n"] += 1
+    elif edit == "summary model_kind":
+        payload["terminal_summaries"][1]["model_kind"] = "linear"
+    elif edit == "summary duplicated":
+        payload["terminal_summaries"].append(dict(payload["terminal_summaries"][0]))
+    elif edit == "beta_f 7":
+        root["beta_f"] = 7
+    elif edit == "unknown key":
+        payload["notes"] = "hand edited"
+    elif edit == "tree maxdepth 7":
+        payload["tree"]["hyperparams"]["maxdepth"] = 7
+    elif edit == "negative mean":
+        payload["node_models"]["10"]["value"] = -2.5
     elif edit == "node deeper than 30":
         node, nid = root["left"]["left"], 4  # a terminal; grow a left spine under it
         while nid < 2**31:
@@ -703,6 +717,31 @@ class TestSettingTypes:
         assert "error: seed must be " in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("train", {"max_depth": 2, "severity_learner": "ols"}, "max_depth"),
+        ("simulate", {"nn": 50}, "nn"),
+    ])
+    def test_config_key_that_names_no_setting(self, portfolio, tmp_path, capsys, command, cfg, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = ["--data", str(portfolio / "portfolio.csv"), "--schema", str(portfolio / "schema.json")]
+        code = main([command, "--config", str(cfg_file), *(argv if command == "train" else []),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config file {cfg_file}: unknown settings [{key!r}]\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_one_config_file_serves_simulate_and_train(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n": 300, "seed": 2, "maxdepth": 2, "severity_learner": "ols", "folds": 3}))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(sim)]) == 0
+        assert main(["train", "--config", str(cfg_file), "--data", str(sim / "portfolio.csv"),
+                     "--schema", str(sim / "schema.json"), "--out", str(tmp_path / "m")]) == 0
+        assert json.loads((sim / "manifest.json").read_text())["resolved_config"]["n"] == 300
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["seed"] == 2 and manifest["resolved_config"]["hyperparams"]["maxdepth"] == 2
+
     def test_simulate_negative_seed_flag(self, tmp_path, capsys):
         code = main(["simulate", "--seed", "-1", "--n", "20", "--out", str(tmp_path / "sim")])
         assert code == 1
@@ -802,6 +841,14 @@ class TestMalformedInputFiles:
         ("string zero_fraction", "terminal 4 zero_fraction must be a finite number, got 'lots'"),
         ("zero_fraction above 1", "terminal 4 zero_fraction 1.5 lies outside [0, 1]"),
         ("node deeper than 30", f"node {2**31} lies deeper than 30"),
+        ("summary n", "terminal_summaries would not be saved back as read"),
+        ("summary model_kind", "terminal_summaries would not be saved back as read"),
+        ("summary duplicated", "terminal_summaries would not be saved back as read"),
+        ("beta_f 7", "tree would not be saved back as read"),
+        ("unknown key", "notes would not be saved back as read"),
+        ("tree maxdepth 7", "tree hyperparams TreeHyperparams(cp=0.0001, maxdepth=7, minsplit=8, impurity='gini') "
+                            "are not the model's TreeHyperparams(cp=0.0001, maxdepth=3,"),
+        ("negative mean", "terminal 10: mean value -2.5 is negative"),
     ])
     def test_unusable_model_is_load_error(self, linear_model, tmp_path, capsys, edit, problem):
         payload = json.loads((linear_model / "m" / "model.json").read_text())

@@ -103,3 +103,20 @@ def test_metrics_but_gini_ignore_row_order(case):
         if measure != "gini":
             assert after[measure] == pytest.approx(before[measure], rel=1e-9, abs=1e-12), measure
     assert after.n_used == before.n_used
+
+
+@settings(max_examples=40, deadline=None)
+@given(models, rows, st.data())
+def test_permuted_batch_predicts_the_permuted_rows(model_settings, drawn_rows, data):
+    """Routing is per row, so a permuted batch reaches the permuted
+    terminals exactly. Each linear terminal's rows go through one matrix
+    product whose summation order may follow a row's place in the batch,
+    so values agree to rounding, not bit for bit."""
+    model = fitted(*model_settings)
+    ds = dataset_of(drawn_rows)
+    perm = np.array(data.draw(st.permutations(range(ds.n))), dtype=np.intp)
+    terminals, raw, clipped = predict_batch(model, ds)
+    permuted = predict_batch(model, ds.subset(perm))
+    np.testing.assert_array_equal(permuted[0], terminals[perm])
+    np.testing.assert_allclose(permuted[1], raw[perm], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(permuted[2], clipped[perm], rtol=1e-12, atol=0.0)
