@@ -40,6 +40,7 @@ def _commands(n: int) -> list[list[str]]:
         ["simulate", "--n", str(n // 2), "--seed", "8", "--out", "holdout"],
         ["train", *data, "--out", "ols", "--severity-learner", "ols", "--seed", "1"],
         ["train", *data, "--out", "enet", "--glm-which", "0.5", "--glm-lambda", "0.3"],
+        ["train", *data, "--out", "enet_min", "--glm-lambda", "lambda.min"],
         ["tune", *data, "--grid", "grid.json", "--folds", "3", "--severity-learner", "ols",
          "--seed", "2", "--out", "tune"],
         ["compare", "--models", "ols/model.json", "enet/model.json", "--train", "sim/portfolio.csv",

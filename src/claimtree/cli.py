@@ -1,8 +1,9 @@
 """Command-line entry point: simulate, train, tune, predict, evaluate,
 compare and export-tree.
 
-Options come from flags or a JSON config file (flags win). Every run
-writes a manifest with the resolved configuration next to its outputs.
+Options come from flags or, for simulate, train, tune and compare, a JSON
+config file (flags win); those four write a manifest with the resolved
+configuration next to their outputs.
 Exit codes: 0 success, 1 validation error, 2 runtime or data error.
 """
 
@@ -71,8 +72,12 @@ class _Parser(argparse.ArgumentParser):
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
-def _add_common(sub):
+def _add_config(sub):
+    # Only the commands that resolve settings read a config file.
     sub.add_argument("--config", help="JSON config file; explicit flags override it")
+
+
+def _add_common(sub):
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
     sub.add_argument(
         "--log-level",
@@ -124,6 +129,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--phi", type=float)
     sim.add_argument("--noise-sd", type=float, dest="noise_sd")
     sim.add_argument("--latents", action="store_true", help="also write latent rates")
+    _add_config(sim)
     _add_common(sim)
 
     tr = cmds.add_parser("train", help="fit a hybrid model")
@@ -132,6 +138,7 @@ def build_parser() -> _Parser:
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--seed", type=int)
     _add_hyperparam_flags(tr)
+    _add_config(tr)
     _add_common(tr)
 
     tu = cmds.add_parser("tune", help="grid search with k-fold cross-validation")
@@ -142,6 +149,7 @@ def build_parser() -> _Parser:
     tu.add_argument("--out", required=True, help="output directory")
     tu.add_argument("--seed", type=int)
     _add_hyperparam_flags(tu)
+    _add_config(tu)
     _add_common(tu)
 
     pr = cmds.add_parser("predict", help="score a dataset with a stored model")
@@ -170,6 +178,7 @@ def build_parser() -> _Parser:
         help="skip the constant-mean and mean-leaf-tree baselines",
     )
     _add_hyperparam_flags(co)
+    _add_config(co)
     _add_common(co)
 
     ex = cmds.add_parser("export-tree", help="DOT text of a stored model's tree")
@@ -200,7 +209,7 @@ def _read_json_input(path: str, what: str):
 
 
 def _load_config_file(args) -> dict:
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     cfg = _read_json_input(args.config, "config")
     if not isinstance(cfg, dict):

@@ -742,6 +742,33 @@ class TestSettingTypes:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["seed"] == 2 and manifest["resolved_config"]["hyperparams"]["maxdepth"] == 2
 
+    @pytest.mark.parametrize("cfg", [{"nn": 1}, None], ids=["unknown key", "missing file"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "export-tree"])
+    def test_config_rejected_by_commands_that_read_none(
+        self, portfolio, trained, tmp_path, capsys, command, cfg
+    ):
+        """predict, evaluate and export-tree resolve no setting, so --config is
+        an unknown flag there: exit 1 and nothing written, whatever the file holds.
+        The same command without it succeeds."""
+        cfg_file = tmp_path / "cfg.json"
+        if cfg is not None:
+            cfg_file.write_text(json.dumps(cfg), encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(trained / "model.json"),
+                     "--data", str(portfolio / "portfolio.csv"), "--out", str(pred)]) == 0
+        argv = {
+            "predict": ["--model", str(trained / "model.json"), "--data", str(portfolio / "portfolio.csv")],
+            "evaluate": ["--predictions", str(pred), "--actuals", str(portfolio / "portfolio.csv"),
+                         "--schema", str(portfolio / "schema.json")],
+            "export-tree": ["--model", str(trained / "model.json")],
+        }[command]
+        capsys.readouterr()
+        code = main([command, *argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: unrecognized arguments: --config {cfg_file}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+
     def test_simulate_negative_seed_flag(self, tmp_path, capsys):
         code = main(["simulate", "--seed", "-1", "--n", "20", "--out", str(tmp_path / "sim")])
         assert code == 1

@@ -20,7 +20,8 @@ def test_two_runs_print_the_same_digests(tmp_path):
     assert first == second
     written = {line.split("  ", 1)[1] for line in first}
     for name in ("sim/latents.csv", "tune/winner.json", "ols_predictions.csv", "enet_metrics.json",
-                 "compare/comparison.csv", "ols_tree.dot", "enet/model.json"):
+                 "compare/comparison.csv", "ols_tree.dot", "enet/model.json",
+                 "enet_min/model.json", "enet_min/coefficients.csv"):
         assert name in written
-    # six commands write a manifest; only its created_utc differs between runs
-    assert sum(name.endswith("manifest.json") for name in written) == 6
+    # seven commands write a manifest; only its created_utc differs between runs
+    assert sum(name.endswith("manifest.json") for name in written) == 7
