@@ -1,13 +1,15 @@
 """Validation measures, cross-validation and the comparison table."""
 
+import contextlib
 import logging
+import os
 from dataclasses import replace
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from claimtree import hybrid
+from claimtree import evaluate, hybrid
 from claimtree.cart import grow
 from claimtree.data import Column, DataError, Dataset
 from claimtree.evaluate import (
@@ -36,6 +38,13 @@ from claimtree.simulate import SimConfig, simulate
 def dataset_from_xy(x, y):
     cols = (Column("x", "continuous"), Column("y", "response"))
     return Dataset(cols, np.column_stack([np.asarray(x, float), np.asarray(y, float)]))
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every fold in the test's own process. A counter patched into
+    hybrid sees only the folds of the process it lives in."""
+    monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: 1)
 
 
 class TestGiniIndex:
@@ -430,12 +439,14 @@ class TestGrowOncePerFold:
         assert [c.params["maxdepth"] for c in result.cells[:3]] == [6, 6, 10]  # grid order
         assert result.cells == separate
 
+    @pytest.mark.usefixtures("one_worker")
     def test_grid_grows_once_per_fold(self, ds, monkeypatch):
         calls = self.count_grows(monkeypatch)
         grid = {"cp": [1e-4, 2e-4], "maxdepth": [8, 10]}
         grid_search(ds, grid, k=5, seed=1, learner_factory=self.ols_factory)
         assert [hp.maxdepth for hp in calls] == [10] * 5
 
+    @pytest.mark.usefixtures("one_worker")
     def test_kfold_cv_grows_once_per_fold(self, ds, monkeypatch):
         calls = self.count_grows(monkeypatch)
         kfold_cv(ds, self.ols_factory({}), k=4, seed=0)
@@ -465,6 +476,7 @@ class TestGrowOncePerFold:
         hybrid.fit(ds, hp)  # the block has ended: nothing is kept
         assert len(calls) == 5
 
+    @pytest.mark.usefixtures("one_worker")
     def test_fold_failure_in_one_cell_leaves_the_shared_tree_usable(self, ds, monkeypatch):
         calls = self.count_grows(monkeypatch)
 
@@ -519,6 +531,7 @@ class TestTreeReuseBlocks:
         assert len(calls) == 2
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestFitTerminalsOncePerFold:
     """Within a grid_search fold, each terminal's severity model is made
     once and shared by every cell, and hybrid encodes only the rows its
@@ -637,3 +650,262 @@ class TestFitTerminalsOncePerFold:
             return sum(e[0] == "node" for e in events)
 
         assert fits({"zero_threshold": [0.25, 0.5]}) == fits({"zero_threshold": [0.5]}) == 173
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelFolds:
+    """The folds run in forked workers, one per usable CPU up to k. Forced
+    to one worker per fold, a search gives what one worker gives: the same
+    cells, failures, winner, log records and exceptions, and leaves no
+    child process behind."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return simulate(SimConfig(n=400, seed=3)).dataset
+
+    @staticmethod
+    def searches(monkeypatch, run):
+        """``run()`` with one worker, then with one worker per fold."""
+        out = []
+        for workers in (lambda n_folds: 1, lambda n_folds: n_folds):
+            monkeypatch.setattr(evaluate, "_fold_workers", workers)
+            out.append(run())
+            assert_no_child_left()
+        return out
+
+    @staticmethod
+    def held_out(ds_train, n):
+        """The rows a fold holds out, for a dataset whose response is its row number."""
+        return sorted(set(range(n)) - set(ds_train.response.astype(int)))
+
+    def test_table_winner_and_failures_match_one_worker(self, ds, monkeypatch):
+        def factory(params):
+            learner = TestGrowOncePerFold.ols_factory(params)
+            if params["maxdepth"] != 10:
+                return learner
+
+            def failing_on_folds_1_and_2(ds_train):  # 3 folds of 400 rows: 134, 133, 133
+                if ds_train.n == 267:
+                    raise ValueError("too few rows")
+                return learner(ds_train)
+
+            return failing_on_folds_1_and_2
+
+        grid = {"cp": [1e-4, 5e-3], "maxdepth": [6, 10]}
+        serial, parallel = self.searches(
+            monkeypatch, lambda: grid_search(ds, grid, k=3, seed=2, learner_factory=factory))
+        assert [f.split(":")[0] for f in serial.cells[1].failures] == ["fold 1", "fold 2"]
+        assert len(serial.cells[1].fold_rmse) == 1
+        assert parallel.cells == serial.cells
+        assert [c.failures for c in parallel.cells] == [c.failures for c in serial.cells]
+        assert cv_table_csv(parallel) == cv_table_csv(serial)
+        assert parallel.winner == serial.winner
+
+    def test_lambda_min_cell_matches_one_worker(self, monkeypatch):
+        ds = simulate(SimConfig(n=1000, seed=7)).dataset
+        hp = HybridHyperparams(glm_which=0.5, glm_lambda="lambda.min")
+
+        def factory(params):
+            def learner(ds_train):
+                model = hybrid.fit(ds_train, replace(hp, **params))
+                return lambda d: hybrid.predict_batch(model, d)[2]
+
+            return learner
+
+        serial, parallel = self.searches(
+            monkeypatch, lambda: grid_search(ds, {"maxdepth": [8]}, k=3, seed=1,
+                                             learner_factory=factory))
+        assert serial.cells[0].valid
+        assert cv_table_csv(parallel) == cv_table_csv(serial)
+        assert parallel.cells == serial.cells
+
+    @pytest.mark.parametrize("raising", [(3,), (3, 1), (4, 0)])
+    def test_lowest_raising_fold_raises_in_the_parent(self, monkeypatch, raising):
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+        held = {tuple(fold): fi for fi, fold in enumerate(fold_indices(n, 5, 0))}
+
+        def learner(ds_train):
+            fi = held[tuple(self.held_out(ds_train, n))]
+            if fi in raising:
+                raise KeyError(f"fold {fi}")
+            return lambda d: np.zeros(d.n)
+
+        errors = []
+
+        def run():
+            with pytest.raises(KeyError) as info:
+                kfold_cv(ds, learner, k=5, seed=0)
+            errors.append(info.value)
+
+        self.searches(monkeypatch, run)
+        assert [e.args for e in errors] == [(f"fold {min(raising)}",)] * 2
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_no_fold_after_the_raising_one_is_fitted(self):
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+        folds = fold_indices(n, 5, 0)
+        fitted = []
+
+        def learner(ds_train):
+            rows = self.held_out(ds_train, n)
+            fitted.append(rows)
+            if rows == folds[1].tolist():
+                raise KeyError("fold 1")
+            return lambda d: np.zeros(d.n)
+
+        with pytest.raises(KeyError):
+            kfold_cv(ds, learner, k=5, seed=0)
+        assert fitted == [folds[0].tolist(), folds[1].tolist()]
+
+    def test_an_exception_that_does_not_pickle_becomes_a_runtime_error(self, monkeypatch):
+        class TwoPartError(Exception):
+            def __init__(self, what, where):
+                super().__init__(f"{what} in {where}")
+
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+        fold_0 = fold_indices(n, 5, 0)[0].tolist()
+
+        def learner(ds_train):  # fold 0, run by the test's process, passes
+            if self.held_out(ds_train, n) == fold_0:
+                return lambda d: np.zeros(d.n)
+            raise TwoPartError("bad fit", "a worker's fold")
+
+        monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: n_folds)
+        with pytest.raises(RuntimeError, match="(?s)does not pickle.*TwoPartError: bad fit in"):
+            kfold_cv(ds, learner, k=5, seed=0)
+        assert_no_child_left()
+
+    def test_log_records_arrive_in_fold_order(self, ds, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="claimtree")
+        learner_log = logging.getLogger("claimtree.test_evaluate")
+        n = 30
+        small = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+
+        def learner(ds_train):
+            learner_log.info("holding out %s", self.held_out(ds_train, n)[:2])
+            if 0 in self.held_out(ds_train, n):
+                learner_log.warning("the fold with row 0")
+            return lambda d: np.zeros(d.n)
+
+        def records(run):
+            caplog.clear()
+            run()
+            return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+        serial, parallel = self.searches(
+            monkeypatch, lambda: records(lambda: kfold_cv(small, learner, k=4, seed=0)))
+        expected = []
+        for fold in fold_indices(n, 4, 0):
+            expected.append(("claimtree.test_evaluate", logging.INFO,
+                             f"holding out {fold[:2].tolist()}"))
+            if 0 in fold:
+                expected.append(("claimtree.test_evaluate", logging.WARNING, "the fold with row 0"))
+        assert serial == parallel == expected
+
+        # the library's own records: OLS fits that fall back to the node mean
+        grid = {"cp": [1e-4], "maxdepth": [10]}
+        serial, parallel = self.searches(monkeypatch, lambda: records(lambda: grid_search(
+            ds, grid, k=5, seed=1, learner_factory=TestGrowOncePerFold.ols_factory)))
+        assert any("rank-deficient" in message for _, _, message in serial)
+        assert parallel == serial
+
+    def test_records_whose_arguments_or_exception_do_not_pickle(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="claimtree")
+        learner_log = logging.getLogger("claimtree.test_evaluate")
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+
+        class Local:  # a local class does not pickle
+            def __str__(self):
+                return "a local object"
+
+        def learner(ds_train):
+            learner_log.info("argument: %s", Local())
+            try:
+                raise ZeroDivisionError("in a learner")
+            except ZeroDivisionError:
+                learner_log.exception("caught")
+            return lambda d: np.zeros(d.n)
+
+        def run():
+            caplog.clear()
+            kfold_cv(ds, learner, k=4, seed=0)
+            return [r.getMessage() for r in caplog.records]
+
+        serial, parallel = self.searches(monkeypatch, run)
+        assert serial == parallel
+        assert serial[::2] == ["argument: a local object"] * 4
+        assert all(m.startswith("caught\nTraceback") and m.endswith("ZeroDivisionError: in a learner")
+                   for m in serial[1::2])
+
+    def test_records_up_to_the_raising_fold_are_kept(self, monkeypatch, caplog):
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+        folds = fold_indices(n, 5, 0)
+        learner_log = logging.getLogger("claimtree.test_evaluate")
+
+        def learner(ds_train):
+            rows = self.held_out(ds_train, n)
+            learner_log.warning("fold starting at row %d", rows[0])
+            if rows == folds[2].tolist():
+                raise KeyError("fold 2")
+            return lambda d: np.zeros(d.n)
+
+        def run():
+            caplog.clear()
+            with pytest.raises(KeyError):
+                kfold_cv(ds, learner, k=5, seed=0)
+            return [r.getMessage() for r in caplog.records]
+
+        serial, parallel = self.searches(monkeypatch, run)
+        assert serial == parallel == [f"fold starting at row {f[0]}" for f in folds[:3]]
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_a_handler_below_the_package_logger_sees_each_record_once(self):
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+        seen = []
+        handler = logging.Handler()
+        handler.emit = seen.append
+        learner_log = logging.getLogger("claimtree.test_evaluate")
+        learner_log.addHandler(handler)
+
+        def learner(ds_train):
+            learner_log.warning("fold starting at row %d", self.held_out(ds_train, n)[0])
+            return lambda d: np.zeros(d.n)
+
+        try:
+            kfold_cv(ds, learner, k=5, seed=0)
+        finally:
+            learner_log.removeHandler(handler)
+        assert [r.getMessage() for r in seen] == [
+            f"fold starting at row {f[0]}" for f in fold_indices(n, 5, 0)]
+
+    def test_what_a_learner_prints_in_a_worker_is_written_out(self, monkeypatch, tmp_path):
+        n = 20
+        ds = dataset_from_xy(np.arange(float(n)), np.arange(float(n)))
+
+        def learner(ds_train):
+            print("fold starting at row", self.held_out(ds_train, n)[0])
+            return lambda d: np.zeros(d.n)
+
+        monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: n_folds)
+        path = tmp_path / "out.txt"
+        with open(path, "w") as out, contextlib.redirect_stdout(out):  # block-buffered
+            kfold_cv(ds, learner, k=5, seed=0)
+        assert_no_child_left()
+        assert sorted(path.read_text().splitlines()) == sorted(
+            f"fold starting at row {f[0]}" for f in fold_indices(n, 5, 0))
+
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert [evaluate._fold_workers(k) for k in (2, 3, 10)] == [2, 3, 3]
+        monkeypatch.delattr(os, "fork")
+        assert evaluate._fold_workers(10) == 1
