@@ -10,11 +10,13 @@ severity model see; ``ds.encoding`` is its schema's object.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -504,6 +506,27 @@ def _row_error(path, r, record, schema, rules) -> DataError:
 # Rows formatted and written per block by write_csv. 1024-row blocks raised
 # the CLI chain's peak memory; 256-row blocks kept it down and wrote no slower.
 WRITE_BLOCK = 256
+# A column is tried for a table of its distinct values' texts when the first
+# block of its share holds at most TABLE_PROBE distinct values, and gets one
+# when the whole share holds at most TABLE_MAX.
+TABLE_PROBE = WRITE_BLOCK // 4
+TABLE_MAX = 1 << 12
+# Least cells per process that write_csv formats: fewer are not worth a fork.
+SHARE_CELLS = 50_000
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot fork:
+    the one rule for how many processes the package's parallel paths use."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_workers(cells: int) -> int:
+    """How many processes format write_csv's ``cells``: one per usable CPU,
+    at most one per SHARE_CELLS cells, at least one."""
+    return max(1, min(usable_cpus(), cells // SHARE_CELLS))
 
 
 def write_csv(path, header, columns, labels=None) -> None:
@@ -512,25 +535,139 @@ def write_csv(path, header, columns, labels=None) -> None:
 
     A cell is the ``repr`` of its Python value (``tolist``), or, in a column
     whose ``labels`` entry is a tuple of labels, the label its value indexes.
-    Each label is quoted once, before the rows. The rows go out in blocks of
-    ``WRITE_BLOCK``, each formatted column by column and joined once, so no
-    second copy of the table is held.
+    Each label is quoted once, before the rows, and a column with few
+    distinct values formats each of them once (:func:`_column_cells`). The
+    rows go out in blocks of ``WRITE_BLOCK``, each formatted column by
+    column and joined once, so no second copy of the table is held.
+
+    The rows are split into contiguous shares, one per process
+    (:func:`_write_workers`). This process writes the header and share 0;
+    each other share is formatted by a forked child into an anonymous
+    temporary file, which this process copies into the output in share
+    order. Each process is pinned to its own usable CPU while it formats
+    (left to the scheduler, a short-lived child can share its parent's
+    CPU throughout), and this process gets all its CPUs back before it
+    returns or raises. The bytes do not depend on the number of processes.
+    If a child fails, this raises; every child is reaped before this
+    returns or raises, and killed first if this process is interrupted. A
+    share whose fork fails is formatted here. If the write fails, the
+    output file is removed when this call created it.
     """
-    width = len(columns)
+    n = len(columns[0])
     texts = [
-        None if lab is None else [_field_text(label, width) for label in lab]
-        for lab in labels or [None] * width
+        None if lab is None else np.array([_field_text(label, len(columns)) for label in lab], dtype=object)
+        for lab in labels or [None] * len(columns)
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), WRITE_BLOCK):
-            block = slice(start, start + WRITE_BLOCK)
-            cells = [
-                map(repr, col[block].tolist()) if text is None
-                else map(text.__getitem__, col[block].astype(np.intp).tolist())
-                for col, text in zip(columns, texts)
-            ]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+    workers = _write_workers(n * len(columns))
+    shares = [(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+    created = not os.path.lexists(path)
+    try:
+        _write_shares(path, header, columns, texts, shares)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
+def _write_shares(path, header, columns, texts, shares) -> None:
+    """write_csv's rows, share by share (see :func:`write_csv`)."""
+    children: dict[int, tuple] = {}  # share -> (child pid, its anonymous temporary file)
+    cpus = sorted(os.sched_getaffinity(0)) if len(shares) > 1 else []
+    try:
+        if cpus:
+            import shutil
+            import tempfile
+
+            for s in range(1, len(shares)):
+                spool = tempfile.TemporaryFile()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    spool.close()
+                    continue  # this process formats the share
+                if pid == 0:
+                    _spool_share(spool, cpus[s % len(cpus)], columns, texts, *shares[s])
+                children[s] = (pid, spool)
+            os.sched_setaffinity(0, cpus[:1])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for s, (start, stop) in enumerate(shares):
+                if s not in children:
+                    _write_rows(fh, columns, texts, start, stop)
+                    continue
+                pid, spool = children[s]
+                _, status = os.waitpid(pid, 0)
+                del children[s]
+                with spool:
+                    spool.seek(0)
+                    code = os.waitstatus_to_exitcode(status)
+                    if code != 0:
+                        trace = spool.read(1 << 16).decode(errors="replace") if code == 1 else ""
+                        raise RuntimeError(f"the worker formatting CSV rows {start}-{stop} of {path} "
+                                           f"exited with code {code}\n{trace}".rstrip())
+                    fh.flush()
+                    shutil.copyfileobj(spool, fh.buffer)
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        if children:  # this process was interrupted or a child failed
+            import signal
+
+            for pid, spool in children.values():
+                spool.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _spool_share(spool, cpu, columns, texts, start, stop):
+    """A forked child's work: rows ``start`` to ``stop`` into ``spool``, on
+    CPU ``cpu``. It leaves by ``os._exit``, with status 0 and the rows' text
+    in ``spool``, or with status 1 and the traceback in ``spool`` instead."""
+    status = 1
+    try:
+        os.sched_setaffinity(0, [cpu])
+        with open(spool.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
+            _write_rows(out, columns, texts, start, stop)
+        status = 0
+    except BaseException:
+        import traceback
+
+        os.ftruncate(spool.fileno(), 0)
+        os.pwrite(spool.fileno(), traceback.format_exc().encode(), 0)
+    finally:
+        os._exit(status)
+
+
+def _write_rows(fh, columns, texts, start, stop) -> None:
+    """Rows ``start`` to ``stop`` of write_csv's table into ``fh``, a block at a time."""
+    cells = [_column_cells(col[start:stop], text) for col, text in zip(columns, texts)]
+    for first in range(0, stop - start, WRITE_BLOCK):
+        block = slice(first, first + WRITE_BLOCK)
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(*[cell(block) for cell in cells])]))
+
+
+def _column_cells(col: np.ndarray, labels: np.ndarray | None):
+    """A function from a slice of ``col`` to its cells' texts:
+    from ``labels``, an object array of texts, the one each value indexes,
+    or else the ``repr`` of each value.
+
+    A float64 or integer column whose first block holds at most TABLE_PROBE
+    distinct values, and the whole of it at most TABLE_MAX, formats each
+    distinct value once and finds each cell's text by ``searchsorted``,
+    block by block. A float64 value is keyed on its bits, so ``-0.0`` and
+    ``0.0`` keep their own texts.
+    """
+    if labels is not None:
+        return lambda rows: labels[col[rows].astype(np.intp)].tolist()
+    key = col.view(np.int64) if col.dtype == np.float64 else col if col.dtype.kind in "iu" else None
+    distinct = None
+    if key is not None and np.unique(key[:WRITE_BLOCK]).size <= TABLE_PROBE:
+        distinct = np.unique(key)
+    if distinct is None or distinct.size > TABLE_MAX:
+        return lambda rows: map(repr, col[rows].tolist())
+    table = np.array(list(map(repr, distinct.view(col.dtype).tolist())), dtype=object)
+    return lambda rows: table[np.searchsorted(distinct, key[rows])].tolist()
 
 
 def _field_text(value: str, width: int) -> str:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import DataError, Dataset, csv_text, fold_indices
+from .data import DataError, Dataset, csv_text, fold_indices, usable_cpus
 from .hybrid import tree_reuse
 
 log = logging.getLogger(__name__)
@@ -306,11 +306,9 @@ class _HeldRecords(logging.Handler):
 
 
 def _fold_workers(n_folds: int) -> int:
-    """How many processes run the folds: one per CPU this process may use,
-    at most one per fold, and one where the platform cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(n_folds, len(os.sched_getaffinity(0)))
+    """How many processes run the folds: one per usable CPU
+    (:func:`claimtree.data.usable_cpus`), at most one per fold."""
+    return min(n_folds, usable_cpus())
 
 
 def _map_folds(fit_fold: Callable[[int], tuple], n_folds: int, workers: int) -> dict[int, tuple]:
