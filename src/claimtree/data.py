@@ -17,12 +17,15 @@ import itertools
 import json
 import math
 import os
+import shutil
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
 import numpy as np
+
+from .workers import forked_shares, usable_cpus
 
 VALID_KINDS = ("continuous", "categorical", "response", "count")
 
@@ -511,16 +514,12 @@ WRITE_BLOCK = 256
 # when the whole share holds at most TABLE_MAX.
 TABLE_PROBE = WRITE_BLOCK // 4
 TABLE_MAX = 1 << 12
-# Least cells per process that write_csv formats: fewer are not worth a fork.
-SHARE_CELLS = 50_000
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where the platform cannot fork:
-    the one rule for how many processes the package's parallel paths use."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+# Least cells per process that write_csv formats. save_csv of the seed-7
+# portfolio (61 columns) on 2 CPUs, one process against two, 20 runs each:
+# with the other CPU idle two won from 1,000 rows on; with it busy two won
+# 19 of 20 at 3,000 rows (183,000 cells), 14 of 20 at 2,000-2,500 rows and
+# 7 of 20 at 1,500 rows.
+SHARE_CELLS = 90_000
 
 
 def _write_workers(cells: int) -> int:
@@ -543,15 +542,11 @@ def write_csv(path, header, columns, labels=None) -> None:
     The rows are split into contiguous shares, one per process
     (:func:`_write_workers`). This process writes the header and share 0;
     each other share is formatted by a forked child into an anonymous
-    temporary file, which this process copies into the output in share
-    order. Each process is pinned to its own usable CPU while it formats
-    (left to the scheduler, a short-lived child can share its parent's
-    CPU throughout), and this process gets all its CPUs back before it
-    returns or raises. The bytes do not depend on the number of processes.
-    If a child fails, this raises; every child is reaped before this
-    returns or raises, and killed first if this process is interrupted. A
-    share whose fork fails is formatted here. If the write fails, the
-    output file is removed when this call created it.
+    temporary file in the output's directory, which this process copies
+    into the output in share order (:func:`claimtree.workers.forked_shares`,
+    which also says what a failed fork, a failed child or an interrupt
+    does). The bytes do not depend on the number of processes. If the write
+    fails, the output file is removed when this call created it.
     """
     n = len(columns[0])
     texts = [
@@ -562,7 +557,17 @@ def write_csv(path, header, columns, labels=None) -> None:
     shares = [(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
     created = not os.path.lexists(path)
     try:
-        _write_shares(path, header, columns, texts, shares)
+        with forked_shares(workers, lambda s, spool: _spool_rows(spool, columns, texts, *shares[s]),
+                           lambda s: "CSV rows {}-{} of {}".format(*shares[s], path),
+                           os.path.dirname(os.path.abspath(path))) as done, \
+                open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for s, spool in done:
+                if spool is None:
+                    _write_rows(fh, columns, texts, *shares[s])
+                else:
+                    fh.flush()
+                    shutil.copyfileobj(spool, fh.buffer)
     except BaseException:
         if created:
             with contextlib.suppress(OSError):
@@ -570,73 +575,10 @@ def write_csv(path, header, columns, labels=None) -> None:
         raise
 
 
-def _write_shares(path, header, columns, texts, shares) -> None:
-    """write_csv's rows, share by share (see :func:`write_csv`)."""
-    children: dict[int, tuple] = {}  # share -> (child pid, its anonymous temporary file)
-    cpus = sorted(os.sched_getaffinity(0)) if len(shares) > 1 else []
-    try:
-        if cpus:
-            import shutil
-            import tempfile
-
-            for s in range(1, len(shares)):
-                spool = tempfile.TemporaryFile()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    spool.close()
-                    continue  # this process formats the share
-                if pid == 0:
-                    _spool_share(spool, cpus[s % len(cpus)], columns, texts, *shares[s])
-                children[s] = (pid, spool)
-            os.sched_setaffinity(0, cpus[:1])
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            for s, (start, stop) in enumerate(shares):
-                if s not in children:
-                    _write_rows(fh, columns, texts, start, stop)
-                    continue
-                pid, spool = children[s]
-                _, status = os.waitpid(pid, 0)
-                del children[s]
-                with spool:
-                    spool.seek(0)
-                    code = os.waitstatus_to_exitcode(status)
-                    if code != 0:
-                        trace = spool.read(1 << 16).decode(errors="replace") if code == 1 else ""
-                        raise RuntimeError(f"the worker formatting CSV rows {start}-{stop} of {path} "
-                                           f"exited with code {code}\n{trace}".rstrip())
-                    fh.flush()
-                    shutil.copyfileobj(spool, fh.buffer)
-    finally:
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-        if children:  # this process was interrupted or a child failed
-            import signal
-
-            for pid, spool in children.values():
-                spool.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _spool_share(spool, cpu, columns, texts, start, stop):
-    """A forked child's work: rows ``start`` to ``stop`` into ``spool``, on
-    CPU ``cpu``. It leaves by ``os._exit``, with status 0 and the rows' text
-    in ``spool``, or with status 1 and the traceback in ``spool`` instead."""
-    status = 1
-    try:
-        os.sched_setaffinity(0, [cpu])
-        with open(spool.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
-            _write_rows(out, columns, texts, start, stop)
-        status = 0
-    except BaseException:
-        import traceback
-
-        os.ftruncate(spool.fileno(), 0)
-        os.pwrite(spool.fileno(), traceback.format_exc().encode(), 0)
-    finally:
-        os._exit(status)
+def _spool_rows(spool, columns, texts, start, stop) -> None:
+    """Rows ``start`` to ``stop`` of write_csv's table into ``spool``, a binary file."""
+    with open(spool.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
+        _write_rows(out, columns, texts, start, stop)
 
 
 def _write_rows(fh, columns, texts, start, stop) -> None:

@@ -12,17 +12,16 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
-import os
 import pickle
-import sys
 import traceback
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .data import DataError, Dataset, csv_text, fold_indices, usable_cpus
+from .data import DataError, Dataset, csv_text, fold_indices
 from .hybrid import tree_reuse
+from .workers import forked_shares, usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -307,7 +306,7 @@ class _HeldRecords(logging.Handler):
 
 def _fold_workers(n_folds: int) -> int:
     """How many processes run the folds: one per usable CPU
-    (:func:`claimtree.data.usable_cpus`), at most one per fold."""
+    (:func:`claimtree.workers.usable_cpus`), at most one per fold."""
     return min(n_folds, usable_cpus())
 
 
@@ -315,76 +314,34 @@ def _map_folds(fit_fold: Callable[[int], tuple], n_folds: int, workers: int) -> 
     """``{fi: fit_fold(fi)}`` for the folds, dealt round-robin to ``workers``
     processes: share w holds folds w, w + workers, ... This process runs
     share 0, and each other share runs in a forked child that inherits
-    the data and the learners and sends its results back through a pipe
-    as a pickle. A share stops after the first fold whose result carries
-    an exception, so some later folds may be missing; every fold before
-    the lowest-numbered such fold is there, whichever share it was in.
-
-    Children flush stdout and stderr and leave by ``os._exit``. Every
-    child is reaped before this returns or raises, and killed first if
-    this process is interrupted or a child dies before it sends its
-    results. A share whose fork fails runs here.
+    the data and the learners and hands its results back as a pickle
+    (:func:`claimtree.workers.forked_shares`, which also says what a failed
+    fork, a failed child or an interrupt does). A share stops after the
+    first fold whose result carries an exception, so some later folds may
+    be missing; every fold before the lowest-numbered such fold is there,
+    whichever share it was in.
     """
+    shares = [list(range(w, n_folds, workers)) for w in range(workers)]
     results: dict[int, tuple] = {}
-    mine = list(range(0, n_folds, workers))
-    pending: dict[int, tuple] = {}  # child pid -> (read end of its pipe, its share)
-    try:
-        if workers > 1:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        for w in range(1, workers):
-            share = list(range(w, n_folds, workers))
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                mine += share
+    with forked_shares(workers, lambda w, spool: pickle.dump(_portable_share(fit_fold, shares[w]), spool),
+                       lambda w: f"folds {shares[w]}") as done:
+        for w, spool in done:
+            if spool is None:
+                results.update(_run_share(fit_fold, shares[w]))
                 continue
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    for pipe, _ in pending.values():
-                        pipe.close()
-                    payload = pickle.dumps({
-                        fi: (outcomes, records, None if error is None else _portable(error))
-                        for fi, (outcomes, records, error) in _run_share(fit_fold, share).items()})
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    with contextlib.suppress(Exception):  # what a learner printed
-                        sys.stdout.flush()
-                        sys.stderr.flush()
-                    os._exit(status)
-            os.close(write_fd)
-            pending[pid] = (open(read_fd, "rb"), share)
-        results.update(_run_share(fit_fold, sorted(mine)))
-        for pid, (pipe, share) in list(pending.items()):
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del pending[pid]
-            if status != 0:
-                raise RuntimeError(f"the worker for folds {share} exited with code "
-                                   f"{os.waitstatus_to_exitcode(status)} before it sent its results")
-            for fi, (outcomes, records, error) in pickle.loads(payload).items():
+            for fi, (outcomes, records, error) in pickle.load(spool).items():
                 if error is not None:
                     error, text = error
                     if text is not None:
                         error.__cause__ = _WorkerTraceback(text)
                 results[fi] = (outcomes, records, error)
-    finally:
-        if pending:  # this process was interrupted or failed to read a child
-            import signal
-
-            for pid, (pipe, _) in pending.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
     return results
+
+
+def _portable_share(fit_fold: Callable[[int], tuple], share: list[int]) -> dict[int, tuple]:
+    """:func:`_run_share` in a worker, each exception made ready to pickle (:func:`_portable`)."""
+    return {fi: (outcomes, records, None if error is None else _portable(error))
+            for fi, (outcomes, records, error) in _run_share(fit_fold, share).items()}
 
 
 def _run_share(fit_fold: Callable[[int], tuple], share: list[int]) -> dict[int, tuple]:

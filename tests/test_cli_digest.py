@@ -1,12 +1,7 @@
 """Determinism of every command, through the byte-identity digest script."""
 
 import importlib.util
-import inspect
-import os
 from pathlib import Path
-
-from claimtree import data
-from claimtree.simulate import SimConfig, simulate
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
 
@@ -30,13 +25,3 @@ def test_two_runs_print_the_same_digests(tmp_path):
         assert name in written
     # seven commands write a manifest; only its created_utc differs between runs
     assert sum(name.endswith("manifest.json") for name in written) == 7
-
-
-def test_the_default_portfolio_is_written_in_forked_shares(monkeypatch):
-    """CI diffs the default run under ``taskset -c 0`` against an unrestricted
-    run; that covers write_csv's forked shares only if the default
-    portfolio is large enough to be split on two CPUs."""
-    n = inspect.signature(load_script().digest).parameters["n"].default
-    width = len(simulate(SimConfig(n=1, seed=7)).dataset.columns)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert data._write_workers(n * width) == 2
