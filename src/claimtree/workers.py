@@ -71,7 +71,7 @@ def _fork(n, run, spool_dir, children) -> None:
     """forked_shares' children, one per share 1 to n - 1, each recorded in ``children``."""
     sys.stdout.flush()
     sys.stderr.flush()
-    cpus = sorted(os.sched_getaffinity(0))
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     cpu = _running_on()
     here = cpus.index(cpu) if cpu in cpus else 0
     for s in range(1, n):
@@ -87,7 +87,7 @@ def _fork(n, run, spool_dir, children) -> None:
                 continue
             if pid == 0:
                 release()
-                _child(s, run, spool, cpus[(here + s) % len(cpus)])
+                _child(s, run, spool, cpus[(here + s) % len(cpus)] if cpus else None)
             children[s] = (pid, spool)
 
 
@@ -96,10 +96,11 @@ def _child(s, run, spool, cpu) -> None:
     with status 1 and only the traceback in ``spool``."""
     status = 1
     try:
-        with contextlib.suppress(OSError):  # a placement, not a requirement
-            cpus = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, [cpu])
-            os.sched_setaffinity(0, cpus)
+        if cpu is not None:
+            with contextlib.suppress(OSError):  # a placement, not a requirement
+                cpus = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, [cpu])
+                os.sched_setaffinity(0, cpus)
         run(s, spool)
         spool.flush()
         status = 0
@@ -122,7 +123,8 @@ def _reaped(n, what, children) -> Iterator[tuple[int, BinaryIO | None]]:
             yield s, None
             continue
         pid, spool = children[s]
-        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # an interrupt may come here
+        if hasattr(os, "waitid"):  # not on macOS, where an interrupt waits for the child
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # an interrupt may come here
         with _interrupt_held():
             status = os.waitpid(pid, 0)[1]
             del children[s]

@@ -72,3 +72,24 @@ def test_a_child_that_dies_is_reported(monkeypatch):
         with workers.forked_shares(2, die, lambda s: f"share {s}") as done:
             list(done)
     assert_no_child_left()
+
+
+def test_each_child_is_moved_once_then_left_to_the_scheduler(monkeypatch):
+    """Child s starts on the CPU s places after this process's, then gets
+    every usable CPU back."""
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(sorted(cpus)))
+    monkeypatch.setattr(workers, "_running_on", lambda: 1)
+    with workers.forked_shares(3, lambda s, spool: spool.write(repr(calls).encode()), str) as done:
+        placed = [spool.read().decode() for s, spool in done if spool is not None]
+    assert placed == ["[[2], [0, 1, 2]]", "[[0], [0, 1, 2]]"]
+    assert calls == []  # this process keeps its CPUs
+
+
+def test_shares_run_where_cpu_sets_and_waitid_are_missing(monkeypatch):
+    """As on macOS: no placement, and the wait is the reap itself."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "waitid")
+    assert run_shares(3) == ["here", "share 1", "share 2"]
+    assert_no_child_left()
