@@ -3,7 +3,10 @@
 import csv
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1167,3 +1170,40 @@ class TestParser:
 
     def test_missing_required_flag(self):
         assert main(["train", "--data", "x.csv"]) == 1
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not (_glibc() and Path("/proc/self/maps").is_file()),
+                    reason="glibc's malloc and /proc/self/maps")
+def test_main_maps_each_large_table_on_its_own():
+    # In a fresh process: once an 8 MB block is freed, glibc carves a 4.8 MB
+    # table from the brk heap; after any command, the next such table that
+    # the heap has no room for gets a mapping of its own.
+    script = """if True:
+        import numpy as np
+        from claimtree.cli import main
+
+        def in_heap(a):  # numpy's madvise can split the heap into several mappings
+            spans = [[int(x, 16) for x in line.split()[0].split("-")]
+                     for line in open("/proc/self/maps") if line.rstrip().endswith("[heap]")]
+            return any(lo <= a.ctypes.data < hi for lo, hi in spans)
+
+        big = np.ones(1 << 20)
+        del big
+        first = np.ones(600_000)
+        print(in_heap(first))
+        print(main(["frobnicate"]))
+        second = np.ones(600_000)
+        print(in_heap(second))
+    """
+    src = str(Path(claimtree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["True", "1", "False"]
