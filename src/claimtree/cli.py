@@ -35,6 +35,7 @@ from .evaluate import (
     constant_mean_learner,
     cv_table_csv,
     grid_search,
+    mean_leaf_tree_learner,
 )
 from .hybrid import (
     HybridHyperparams,
@@ -425,9 +426,7 @@ def cmd_compare(args) -> int:
     predictors = [lambda ds, m=load(path): predict_batch(m, ds)[2] for path in args.models]
     if not args.no_baselines:
         predictors.append(constant_mean_learner(ds_train))
-        mean_leaf_hp = replace(base, zero_threshold=1.0, min_node_for_linear=10**9)
-        tree_model = fit(ds_train, mean_leaf_hp, seed=run.seed)
-        predictors.append(lambda ds, m=tree_model: predict_batch(m, ds)[2])
+        predictors.append(mean_leaf_tree_learner(base.tree_hyperparams())(ds_train))
     models = list(zip(names, predictors))
     table = comparison_table(models, ds_train, ds_test)
     (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")

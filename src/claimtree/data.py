@@ -425,13 +425,14 @@ def _read_fast(path, schema) -> np.ndarray | None:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh))
-            if any(header.count(col.name) > 1 for col in schema):
-                return None  # the cell-by-cell reader rejects the duplicate
-            usecols = [header.index(col.name) for col in schema]
-            converters = {
-                pos: (lambda cell, index=_label_index(col): index[cell.strip()])
-                for pos, col in zip(usecols, schema) if col.categories
-            }
+        except Exception:  # the cell-by-cell reader decides
+            return None
+        usecols = _header_positions(path, header, schema)
+        converters = {
+            pos: (lambda cell, index=_label_index(col): index[cell.strip()])
+            for pos, col in zip(usecols, schema) if col.categories
+        }
+        try:
             with warnings.catch_warnings():
                 # with no data rows numpy warns "input contained no data"; the
                 # shape check below decides what such a file holds
@@ -443,6 +444,17 @@ def _read_fast(path, schema) -> np.ndarray | None:
         except Exception:  # whatever failed, the cell-by-cell reader decides
             return None
     return values if values.shape == (lines - 1, len(schema)) else None
+
+
+def _header_positions(path, header: list[str], schema) -> list[int]:
+    """Each schema column's position in ``header``; raises the DataError for
+    the first one that the header lacks or names more than once."""
+    for col in schema:
+        if col.name not in header:
+            raise DataError(f"{path}: missing column {col.name!r}")
+        if header.count(col.name) > 1:
+            raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
+    return [header.index(col.name) for col in schema]
 
 
 def _records(path, fh):
@@ -462,21 +474,17 @@ def _records(path, fh):
 
 def _read_cells(path, schema) -> np.ndarray:
     """The values of every data row, parsed cell by cell; raises the
-    DataError naming the first bad row, or a schema column that the header
-    lacks or names more than once."""
+    DataError naming the first bad row, or the header's."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        rules = []  # (header position, cell parser) per schema column
-        for col in schema:
-            if col.name not in header:
-                raise DataError(f"{path}: missing column {col.name!r}")
-            if header.count(col.name) > 1:
-                raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
-            rules.append((header.index(col.name), _label_index(col).__getitem__ if col.categories else float))
+        rules = [  # (header position, cell parser) per schema column
+            (pos, _label_index(col).__getitem__ if col.categories else float)
+            for pos, col in zip(_header_positions(path, header, schema), schema)
+        ]
         # float reads "1_000" as 1000.0. One search of the whole record finds
         # any "_"; only then are its numeric cells searched, as labels and
         # columns outside the schema may hold "_".

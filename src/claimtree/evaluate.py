@@ -9,19 +9,17 @@ with nonzero actuals).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import logging
-import pickle
-import traceback
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .cart import TreeHyperparams, cp_to_alpha, grow, prune
 from .data import DataError, Dataset, csv_text, fold_indices
 from .hybrid import tree_reuse
-from .workers import forked_shares, usable_cpus
+from .workers import in_order, usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +120,6 @@ _MEASURE_TABLE = {
     "mpe": (mpe, "nearer 0", True),
 }
 MEASURES = tuple(_MEASURE_TABLE)
-HIGHER_IS_BETTER = {m: better == "higher" for m, (_, better, _) in _MEASURE_TABLE.items()}
 
 
 @dataclass
@@ -165,6 +162,20 @@ def constant_mean_learner(ds_train: Dataset) -> Callable[[Dataset], np.ndarray]:
     return lambda ds: np.full(ds.n, mu)
 
 
+def mean_leaf_tree_learner(hp: TreeHyperparams) -> Learner:
+    """Baseline: the occurrence tree grown with ``hp`` and pruned at its
+    ``cp``, each terminal predicting its training rows' mean response."""
+
+    def learner(ds_train: Dataset) -> Callable[[Dataset], np.ndarray]:
+        full = grow(ds_train, hp)
+        tree = prune(full, cp_to_alpha(full, hp.cp))
+        slot = tree.dataset_slots(ds_train)
+        means = np.array([ds_train.response[slot == j].mean() for j in range(len(tree.terminal_ids()))])
+        return lambda ds: means[tree.dataset_slots(ds)]
+
+    return learner
+
+
 @dataclass
 class CVCell:
     params: dict
@@ -192,13 +203,8 @@ def kfold_cv(ds: Dataset, learner: Learner, k: int, seed: int) -> CVCell:
     A data or numerical error from the learner marks the fold (and hence
     the cell) invalid rather than aborting the whole search; any other
     exception is a bug and propagates. This is the one-cell case of
-    :func:`grid_search`'s fold-major loop: each fold's train and test
-    datasets are built once, fits within a fold may share one grown
-    tree (:func:`claimtree.hybrid.tree_reuse`), and the folds run in
-    forked workers, one per usable CPU up to k, as :func:`_cross_validate`
-    describes. Fold results, log records and a propagated exception come
-    out as one process gives them; the learner's side effects stay in
-    the worker that ran its fold.
+    :func:`grid_search`, whose fold-major loop (:func:`_cross_validate`)
+    it runs.
     """
     return _cross_validate(ds, [({}, learner)], k, seed)[0]
 
@@ -212,166 +218,46 @@ def _depth_first(params: dict):
 def _cross_validate(ds: Dataset, cells: list[tuple[dict, Learner]], k: int, seed: int) -> list[CVCell]:
     """One CVCell per (params, learner) pair, all on the same k folds.
 
-    Folds are the outer loop and run in parallel: :func:`_fold_workers`
-    processes in all, the extra ones forked, with the folds dealt out
-    round-robin (:func:`_map_folds`). Within a worker each fold's train and
-    test datasets are built once, every cell is fitted on that same pair
-    of objects, deepest cell first, and both are dropped before the
-    worker's next fold, so one fold's copies are live at a time per
-    worker. Within a fold the cells share one grown tree and the
-    terminals' severity models (:func:`claimtree.hybrid.tree_reuse`).
-
-    The result does not depend on the number of workers. Results land in
-    the cells' own order, each cell's fold results and failures in fold
-    order. The ``claimtree`` log records of each fold are held back and
-    emitted here in fold order, and an exception other than a fold
-    failure is raised for the lowest-numbered fold that raised it, after
-    the records of that fold and the ones before it. A learner's side
-    effects stay in the worker that ran its fold.
+    Folds are the outer loop, run by :func:`claimtree.workers.in_order`
+    in :func:`_fold_workers` processes, so results, log records and an
+    escaping exception come out as one process gives them. Cells keep
+    their own order, and each cell's fold results and failures fold order.
     """
     folds = fold_indices(ds.n, k, seed)
     order = sorted(range(len(cells)), key=lambda i: _depth_first(cells[i][0]))
-    results = _map_folds(lambda fi: _fit_fold(ds, cells, order, fi, folds[fi]),
-                         len(folds), _fold_workers(len(folds)))
     out = [CVCell(params=params, fold_rmse=[], failures=[]) for params, _ in cells]
-    package_log = logging.getLogger(__package__)
-    for fi in range(len(folds)):
-        outcomes, records, error = results[fi]
-        for record in records:
-            package_log.callHandlers(record)  # where _captured_logs stopped it
-        if error is not None:
-            raise error
+    for outcomes in in_order(len(folds), lambda fi: _fit_fold(ds, cells, order, fi, folds[fi]),
+                             _fold_workers(len(folds)), "folds"):
         for cell, outcome in zip(out, outcomes):
             (cell.failures if isinstance(outcome, str) else cell.fold_rmse).append(outcome)
     return out
 
 
 def _fit_fold(ds: Dataset, cells: list[tuple[dict, Learner]], order: list[int], fi: int,
-              test_idx: np.ndarray) -> tuple[list, list[logging.LogRecord], Exception | None]:
-    """Fold ``fi`` of :func:`_cross_validate`: every cell fitted on the other
-    folds' rows in ``order`` and scored on ``test_idx``. Returns, in cell
-    order, each cell's RMSE or failure text; the fold's log records
-    (:func:`_captured_logs`); and the exception that ended the fold, or
-    None."""
+              test_idx: np.ndarray) -> list:
+    """Fold ``fi``: every cell fitted, in ``order``, on one training set of
+    the other folds' rows and scored on ``test_idx``; within the fold the
+    cells share one grown tree (:func:`claimtree.hybrid.tree_reuse`).
+    Returns each cell's RMSE or failure text, in cell order."""
     outcomes: list = [None] * len(cells)
-    with _captured_logs() as records:
-        try:
-            train = ds.subset(np.setdiff1d(np.arange(ds.n), test_idx))
-            test = ds.subset(test_idx)
-            with tree_reuse():
-                for i in order:
-                    try:
-                        pred = np.asarray(cells[i][1](train)(test), dtype=float)
-                        outcomes[i] = rmse(ds.response[test_idx], pred)
-                    except (DataError, ValueError, ArithmeticError) as exc:
-                        # ValueError covers UndefinedMetricError and np.linalg.LinAlgError
-                        # (RankDeficiencyError); DataError is not a ValueError.
-                        outcomes[i] = f"fold {fi}: {exc}"
-        except Exception as exc:  # noqa: BLE001 - raised again by _cross_validate, in fold order
-            return outcomes, records, exc
-    return outcomes, records, None
-
-
-@contextlib.contextmanager
-def _captured_logs():
-    """Collect the records that reach the ``claimtree`` logger inside the
-    block instead of passing them to its handlers and its ancestors'
-    (the handlers of a logger below it still run at once)."""
-    capture = _HeldRecords()
-    logger = logging.getLogger(__package__)
-    saved = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [capture], False
-    try:
-        yield capture.records
-    finally:
-        logger.handlers, logger.propagate = saved
-
-
-class _HeldRecords(logging.Handler):
-    """Keeps a copy of each record, prepared as
-    ``logging.handlers.QueueHandler.prepare`` does (message formatted,
-    arguments, exception and stack dropped), so that it pickles and
-    prints the same when handled later."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        held = logging.makeLogRecord(record.__dict__)
-        held.msg = held.message = self.format(record)
-        held.args = held.exc_info = held.exc_text = held.stack_info = None
-        self.records.append(held)
+    train = ds.subset(np.setdiff1d(np.arange(ds.n), test_idx))
+    test = ds.subset(test_idx)
+    with tree_reuse():
+        for i in order:
+            try:
+                pred = np.asarray(cells[i][1](train)(test), dtype=float)
+                outcomes[i] = rmse(ds.response[test_idx], pred)
+            except (DataError, ValueError, ArithmeticError) as exc:
+                # ValueError covers UndefinedMetricError and np.linalg.LinAlgError
+                # (RankDeficiencyError); DataError is not a ValueError.
+                outcomes[i] = f"fold {fi}: {exc}"
+    return outcomes
 
 
 def _fold_workers(n_folds: int) -> int:
     """How many processes run the folds: one per usable CPU
     (:func:`claimtree.workers.usable_cpus`), at most one per fold."""
     return min(n_folds, usable_cpus())
-
-
-def _map_folds(fit_fold: Callable[[int], tuple], n_folds: int, workers: int) -> dict[int, tuple]:
-    """``{fi: fit_fold(fi)}`` for the folds, dealt round-robin to ``workers``
-    processes: share w holds folds w, w + workers, ... This process runs
-    share 0, and each other share runs in a forked child that inherits
-    the data and the learners and hands its results back as a pickle
-    (:func:`claimtree.workers.forked_shares`, which also says what a failed
-    fork, a failed child or an interrupt does). A share stops after the
-    first fold whose result carries an exception, so some later folds may
-    be missing; every fold before the lowest-numbered such fold is there,
-    whichever share it was in.
-    """
-    shares = [list(range(w, n_folds, workers)) for w in range(workers)]
-    results: dict[int, tuple] = {}
-    with forked_shares(workers, lambda w, spool: pickle.dump(_portable_share(fit_fold, shares[w]), spool),
-                       lambda w: f"folds {shares[w]}") as done:
-        for w, spool in done:
-            if spool is None:
-                results.update(_run_share(fit_fold, shares[w]))
-                continue
-            for fi, (outcomes, records, error) in pickle.load(spool).items():
-                if error is not None:
-                    error, text = error
-                    if text is not None:
-                        error.__cause__ = _WorkerTraceback(text)
-                results[fi] = (outcomes, records, error)
-    return results
-
-
-def _portable_share(fit_fold: Callable[[int], tuple], share: list[int]) -> dict[int, tuple]:
-    """:func:`_run_share` in a worker, each exception made ready to pickle (:func:`_portable`)."""
-    return {fi: (outcomes, records, None if error is None else _portable(error))
-            for fi, (outcomes, records, error) in _run_share(fit_fold, share).items()}
-
-
-def _run_share(fit_fold: Callable[[int], tuple], share: list[int]) -> dict[int, tuple]:
-    """``{fi: fit_fold(fi)}`` over ``share`` in order, up to and including
-    the first fold that raised."""
-    out = {}
-    for fi in share:
-        out[fi] = fit_fold(fi)
-        if out[fi][2] is not None:
-            break
-    return out
-
-
-class _WorkerTraceback(Exception):
-    """The cause given to an exception raised again from a fold worker: its
-    text is the traceback the exception had in the worker."""
-
-
-def _portable(exc: Exception) -> tuple[Exception, str | None]:
-    """``exc`` and its traceback text, where ``exc`` survives a pickle round
-    trip with its type and message; else a RuntimeError that carries the
-    text, and None."""
-    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    try:
-        back = pickle.loads(pickle.dumps(exc))
-        if type(back) is type(exc) and str(back) == str(exc):
-            return exc, text
-    except Exception:  # noqa: BLE001 - anything that stops the round trip
-        pass
-    return RuntimeError(f"a fold worker raised an exception that does not pickle:\n{text}"), None
 
 
 @dataclass
@@ -412,10 +298,8 @@ def grid_search(
     fold results and failures keep grid order.
 
     The folds run in forked workers, one per usable CPU up to k
-    (:func:`_cross_validate`). The result, the order of the log records
-    and an exception that escapes a fold do not depend on the number of
-    workers; a learner's side effects stay in the worker that ran its
-    fold.
+    (:func:`_cross_validate`); a learner's side effects stay in the
+    worker that ran its fold.
     """
     if not grid:
         raise ValueError("empty grid")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Column, Dataset, csv_text, require_int, require_real, require_seed
+from .data import Column, Dataset, require_int, require_real, require_seed, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -227,8 +227,6 @@ def simulate(config: SimConfig) -> SimulatedPortfolio:
 def save_latents_csv(portfolio: SimulatedPortfolio, path) -> None:
     """Sidecar diagnostics: per-row rate, count and severity parameters."""
     n = portfolio.config.n
-    columns = (range(n), portfolio.lam.tolist(), portfolio.n_claims.tolist(),
-               [float(portfolio.gamma_shape)] * n, portfolio.gamma_rate.tolist())
-    rows = zip(*(map(str, col) for col in columns))  # str of a Python float is its repr
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text([["row", "lambda", "n_claims", "gamma_shape", "gamma_rate"], *rows]))
+    write_csv(path, ["row", "lambda", "n_claims", "gamma_shape", "gamma_rate"],
+              [np.arange(n), portfolio.lam, portfolio.n_claims, np.full(n, float(portfolio.gamma_shape)),
+               portfolio.gamma_rate])

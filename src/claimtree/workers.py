@@ -1,20 +1,22 @@
-"""Forked worker processes: how many the package's parallel paths use, and
-one forked child per share of a job, which hands its output back in an
-anonymous temporary file.
-
-Cross-validation (:func:`claimtree.evaluate.grid_search`) and the CSV
-writer (:func:`claimtree.data.write_csv`) both go through
-:func:`forked_shares`, so forking, CPU placement, failure reports and the
-reaping of children are written once.
+"""Forked worker processes: how many the package's parallel paths use, one
+forked child per share of a job, which hands its output back in an
+anonymous temporary file (:func:`forked_shares`, behind the CSV writer),
+and items run in forked children as one process would run them
+(:func:`in_order`, behind cross-validation). Forking, CPU placement,
+failure reports, reaping, and how a child's results, log records and
+exceptions come back are written once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import logging
 import os
+import pickle
 import sys
 import tempfile
 import threading
+import traceback
 from typing import BinaryIO, Callable, Iterator
 
 
@@ -105,8 +107,6 @@ def _child(s, run, spool, cpu) -> None:
         spool.flush()
         status = 0
     except BaseException:
-        import traceback
-
         os.ftruncate(spool.fileno(), 0)
         os.pwrite(spool.fileno(), traceback.format_exc().encode(), 0)
     finally:
@@ -166,3 +166,110 @@ def _running_on() -> int | None:
             return int(stat.read().rsplit(b")", 1)[1].split()[36])
     except (OSError, ValueError, IndexError):
         return None
+
+
+def in_order(n: int, run: Callable[[int], object], workers: int, what: str) -> list:
+    """``[run(0), ..., run(n - 1)]``, with the items dealt round-robin to
+    ``workers`` processes: share w holds items w, w + workers, ... This
+    process runs share 0; each other share runs in a forked child
+    (:func:`forked_shares`), which hands its results back as a pickle.
+    ``what`` names the items, as in "folds".
+
+    The call behaves as one process running the items in order. The
+    records that reach the ``claimtree`` logger during an item are held
+    back and handed to its handlers here, item by item. A share stops
+    after its first item that raises an Exception, and the lowest-numbered
+    such item's exception is raised here, after the records of that item
+    and the ones before it. From a child it comes back with its type and
+    message and the child's traceback as its ``__cause__``, or as a
+    RuntimeError carrying that traceback if it does not pickle. What
+    ``run`` changes in a child stays in the child.
+    """
+    shares = [list(range(w, n, workers)) for w in range(workers)]
+
+    def child(w, spool):
+        pickle.dump({i: (result, records, _portable(error))
+                     for i, (result, records, error) in _run_share(run, shares[w]).items()}, spool)
+
+    done: dict[int, tuple] = {}
+    with forked_shares(workers, child, lambda w: f"{what} {shares[w]}") as reaped:
+        for w, spool in reaped:
+            if spool is None:
+                done.update(_run_share(run, shares[w]))
+                continue
+            for i, (result, records, (error, text)) in pickle.load(spool).items():
+                if text is not None:
+                    error.__cause__ = _WorkerTraceback(text)
+                done[i] = (result, records, error)
+    package_log = logging.getLogger(__package__)
+    results = []
+    for i in range(n):
+        result, records, error = done[i]
+        for record in records:
+            package_log.callHandlers(record)  # where _held_records stopped it
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
+def _run_share(run, share) -> dict[int, tuple]:
+    """``{i: (run(i), held records, None)}`` over ``share`` in order, up to
+    and including the first item that raised, which holds its exception."""
+    out = {}
+    for i in share:
+        with _held_records() as records:
+            try:
+                out[i] = (run(i), records, None)
+            except Exception as exc:  # noqa: BLE001 - raised again by in_order, in item order
+                out[i] = (None, records, exc)
+                break
+    return out
+
+
+@contextlib.contextmanager
+def _held_records():
+    """The records that reach the ``claimtree`` logger inside the block,
+    kept instead of passed to its handlers and its ancestors' (the
+    handlers of a logger below it still run at once). Each is prepared as
+    ``logging.handlers.QueueHandler.prepare`` does, message formatted and
+    arguments, exception and stack dropped, so it pickles and prints the
+    same when handled later."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+
+    def hold(record):
+        held = logging.makeLogRecord(record.__dict__)
+        held.msg = held.message = handler.format(record)
+        held.args = held.exc_info = held.exc_text = held.stack_info = None
+        records.append(held)
+
+    handler.emit = hold
+    logger = logging.getLogger(__package__)
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [handler], False
+    try:
+        yield records
+    finally:
+        logger.handlers, logger.propagate = saved
+
+
+class _WorkerTraceback(Exception):
+    """The cause given to an exception raised again from a child: its text
+    is the traceback the exception had there."""
+
+
+def _portable(exc: Exception | None) -> tuple[Exception | None, str | None]:
+    """``exc`` and its traceback text, where ``exc`` survives a pickle round
+    trip with its type and message; else a RuntimeError that carries the
+    text, and None. None gives None, None."""
+    if exc is None:
+        return None, None
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        back = pickle.loads(pickle.dumps(exc))
+        if type(back) is type(exc) and str(back) == str(exc):
+            return exc, text
+    except Exception:  # noqa: BLE001 - anything that stops the round trip
+        pass
+    return RuntimeError(f"a worker raised an exception that does not pickle:\n{text}"), None

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from claimtree import evaluate, hybrid
-from claimtree.cart import grow
+from claimtree.cart import TreeHyperparams, cp_to_alpha, grow, prune
 from claimtree.data import Column, DataError, Dataset
 from claimtree.evaluate import (
     UndefinedMetricError,
@@ -25,6 +25,7 @@ from claimtree.evaluate import (
     grid_search,
     kfold_cv,
     mae,
+    mean_leaf_tree_learner,
     mape,
     mpe,
     r_squared,
@@ -401,6 +402,24 @@ class TestComparisonTable:
         for name in names:
             assert texts.count(name) == 2  # one row per split
         assert texts.count("train") == texts.count("test") == 1
+
+
+class TestMeanLeafTreeBaseline:
+    def test_every_terminal_predicts_its_rows_training_mean(self):
+        """Also the terminals where fewer than half the rows claim, which
+        the hybrid sets to 0."""
+        ds, fresh = (simulate(SimConfig(n=2000, seed=seed)).dataset for seed in (7, 8))
+        hp = TreeHyperparams(cp=1e-4, maxdepth=8, minsplit=8)
+        predict = mean_leaf_tree_learner(hp)(ds)
+        full = grow(ds, hp)
+        tree = prune(full, cp_to_alpha(full, hp.cp))
+        means = []
+        for j, tid in enumerate(tree.terminal_ids()):
+            mean = ds.response[tree.dataset_slots(ds) == j].mean()
+            assert (predict(ds)[tree.dataset_slots(ds) == j] == mean).all()
+            assert (predict(fresh)[tree.dataset_slots(fresh) == j] == mean).all()
+            means.append((tree.nodes[tid].beta_f, mean))
+        assert any(beta_f == 0 and mean > 0 for beta_f, mean in means)
 
 
 class TestGrowOncePerFold:

@@ -1,6 +1,9 @@
 """``workers.forked_shares``: shares come back in order, and an interrupt
-at any point leaves no child process behind and hides no error."""
+at any point leaves no child process behind and hides no error.
+``workers.in_order``: items forked out to workers come back as one process
+running them in order would give them."""
 
+import logging
 import os
 import signal
 
@@ -92,4 +95,93 @@ def test_shares_run_where_cpu_sets_and_waitid_are_missing(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.delattr(os, "waitid")
     assert run_shares(3) == ["here", "share 1", "share 2"]
+    assert_no_child_left()
+
+
+@pytest.fixture(params=[1, 3], ids=["1 worker", "3 workers"])
+def n_workers(request):
+    yield request.param
+    assert_no_child_left()
+
+
+def test_results_come_back_in_order(n_workers):
+    assert workers.in_order(7, lambda i: i * i, n_workers, "items") == [i * i for i in range(7)]
+
+
+def test_each_items_records_come_after_the_ones_before(n_workers, caplog):
+    caplog.set_level(logging.INFO, logger="claimtree")
+    item_log = logging.getLogger("claimtree.test_workers")
+
+    def run(i):
+        item_log.info("item %d starts", i)
+        item_log.warning("item %d ends", i)
+
+    workers.in_order(5, run, n_workers, "items")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"item {i} {step}" for i in range(5) for step in ("starts", "ends")]
+
+
+def test_the_lowest_raising_item_is_raised_with_its_traceback(n_workers, caplog, tmp_path):
+    """Items 2 and 4 raise; with 3 workers item 2 runs in a child, whose
+    traceback becomes the cause. Item 1's records come first, none after,
+    and no share runs an item after its raising one."""
+    item_log = logging.getLogger("claimtree.test_workers")
+    ran = tmp_path / "ran"
+
+    def run(i):
+        with open(ran, "a") as out:
+            out.write(f"{i}\n")
+        item_log.warning("item %d", i)
+        if i in (2, 4):
+            raise KeyError(f"item {i}")
+        return i
+
+    with pytest.raises(KeyError) as info:
+        workers.in_order(6, run, n_workers, "items")
+    assert info.value.args == ("item 2",)
+    assert [r.getMessage() for r in caplog.records] == ["item 0", "item 1", "item 2"]
+    assert sorted(map(int, ran.read_text().split())) == ([0, 1, 2] if n_workers == 1 else [0, 1, 2, 3, 4])
+    if n_workers == 1:
+        assert info.value.__cause__ is None
+    else:
+        assert isinstance(info.value.__cause__, workers._WorkerTraceback)
+        assert f"in {run.__name__}" in str(info.value.__cause__)
+        assert str(info.value.__cause__).rstrip().endswith("KeyError: 'item 2'")
+
+
+class TwoPartError(Exception):
+    """Pickles as ``TwoPartError(message)``, which its ``__init__`` refuses."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def test_an_exception_that_does_not_pickle_becomes_a_runtime_error(n_workers):
+    def run(i):
+        if i == 1:
+            raise TwoPartError("bad item", "a share")
+
+    if n_workers == 1:  # nothing is pickled
+        expected, match = TwoPartError, "bad item in a share"
+    else:
+        expected, match = RuntimeError, "(?s)does not pickle.*TwoPartError: bad item in a share"
+    with pytest.raises(expected, match=match):
+        workers.in_order(3, run, n_workers, "items")
+
+
+def test_one_worker_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert workers.in_order(4, str, 1, "items") == ["0", "1", "2", "3"]
+
+
+def test_a_child_that_dies_is_reported_by_its_items():
+    def run(i):
+        if i == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match=r"the worker for items \[2\] exited with code -9"):
+        workers.in_order(4, run, 3, "items")
     assert_no_child_left()
