@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cart import to_dot
+from .cart import TreeHyperparams, to_dot
 from .data import (
     Column, DataError, Dataset, load_csv, load_schema, require_int, require_seed, save_csv, save_schema,
     write_csv, write_json,
@@ -180,7 +180,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="skip the constant-mean and mean-leaf-tree baselines",
     )
-    _add_hyperparam_flags(co)
+    _add_tree_flags(co)
     _add_config(co)
     _add_common(co)
 
@@ -191,14 +191,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _add_hyperparam_flags(sub):
+def _add_tree_flags(sub):
     sub.add_argument("--cp", type=float)
     sub.add_argument("--maxdepth", type=int)
+    sub.add_argument("--minsplit", type=int)
+
+
+def _add_hyperparam_flags(sub):
+    _add_tree_flags(sub)
     sub.add_argument("--zero-threshold", type=float, dest="zero_threshold")
     sub.add_argument("--glm-which", type=float, dest="glm_which")
     sub.add_argument("--glm-lambda", dest="glm_lambda", help='penalty size or "lambda.min"')
     sub.add_argument("--min-node-linear", type=int, dest="min_node_for_linear")
-    sub.add_argument("--minsplit", type=int)
     sub.add_argument("--severity-learner", dest="severity_learner", choices=["ols", "elastic_net"])
 
 
@@ -404,8 +408,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# The model hyperparameters that shape no output of compare, whose only
+# model of its own is the mean-leaf tree baseline.
+_NOT_COMPARE = sorted({f.name for f in fields(HybridHyperparams)} - {f.name for f in fields(TreeHyperparams)})
+
+
 def cmd_compare(args) -> int:
     cfg = _load_config_file(args)
+    unused = [key for key in _NOT_COMPARE if key in cfg]
+    if unused:
+        raise CliValidationError(f"config file {args.config}: compare does not use {unused}")
     run = _from_flags(RunSettings, args, cfg)
     # a stored model is named by its path as given, less ".json"
     names = [path.removesuffix(".json") for path in args.models]
@@ -413,7 +425,8 @@ def cmd_compare(args) -> int:
         names += ["constant_mean", "mean_leaf_tree"]
     if len(names) < 2:
         raise CliValidationError("need at least 2 models; pass --models or drop --no-baselines")
-    base = _from_flags(HybridHyperparams, args, cfg)  # checked whether or not baselines run
+    # the hybrid's tree defaults; checked whether or not baselines run
+    tree_hp = _from_flags(TreeHyperparams, args, {**asdict(HybridHyperparams().tree_hyperparams()), **cfg})
     clashes = sorted({name for name in names if names.count(name) > 1})
     if clashes:
         raise CliValidationError(f"two models would both be named {clashes[0]!r}")
@@ -426,17 +439,15 @@ def cmd_compare(args) -> int:
     predictors = [lambda ds, m=load(path): predict_batch(m, ds)[2] for path in args.models]
     if not args.no_baselines:
         predictors.append(constant_mean_learner(ds_train))
-        predictors.append(mean_leaf_tree_learner(base.tree_hyperparams())(ds_train))
+        predictors.append(mean_leaf_tree_learner(tree_hp)(ds_train))
     models = list(zip(names, predictors))
     table = comparison_table(models, ds_train, ds_test)
     (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
     (out / "comparison.svg").write_text(comparison_svg(table), encoding="utf-8")
-    _write_manifest(
-        out,
-        "compare",
-        {"models": list(args.models), "train": args.train, "test": args.test},
-        run.seed,
-    )
+    resolved = {"models": list(args.models), "train": args.train, "test": args.test}
+    if not args.no_baselines:
+        resolved["baseline_tree_hyperparams"] = asdict(tree_hp)
+    _write_manifest(out, "compare", resolved, run.seed)
     print(f"wrote {out / 'comparison.csv'} ({len(models)} models)")
     return 0
 

@@ -358,14 +358,19 @@ def load_csv(path, schema) -> Dataset:
     produces. A UTF-8 byte-order mark is skipped. :class:`Dataset` checks
     the values read, and its message gets the file name put before it.
 
-    A file that passes a byte pre-scan (see :func:`_count_lines`) is read by
-    numpy's C text reader, which parses numbers with the same routine as
-    ``float``. Any other file, any exception from that reader and any row
-    count that differs from the pre-scan's (numpy skips blank lines) hand
-    the file to the cell-by-cell reader, which alone decides the values or
-    the error. ``np.loadtxt`` reads at most one row more than the pre-scan
-    counted: it allocates the table once, and a file holding more rows than
-    counted still shows a row count that differs.
+    The file is cut at line breaks into contiguous spans, one per process
+    (:func:`_spans`). Each span that passes a byte pre-scan (see
+    :func:`_count_lines`) is read by numpy's C text reader, which parses
+    numbers with the same routine as ``float``; the first span in this
+    process, each other one in a forked child (:func:`_read_fast`). If any
+    span fails its pre-scan, raises in that reader or gives a row count
+    that differs from the pre-scan's (numpy skips blank lines), or a child
+    fails, the whole file goes to the cell-by-cell reader, which alone
+    decides the values or the error, so neither depends on the number of
+    processes. ``np.loadtxt`` reads at most one row more than a span's
+    pre-scan counted, from a stream that ends with the span: it allocates
+    the span's table once, and a span holding more rows than counted still
+    shows a row count that differs.
 
     The array either reader builds is the Dataset's: it is not copied again.
     """
@@ -384,8 +389,32 @@ def load_csv(path, schema) -> Dataset:
 SCAN_CHUNK = 1 << 16
 
 
-def _count_lines(path) -> int | None:
-    """The file's line count if csv.reader and np.loadtxt split it alike, else None.
+class _ByteSpan(io.RawIOBase):
+    """Bytes ``start`` to ``stop`` of the file at ``path``, as a raw stream
+    that ends at ``stop``."""
+
+    def __init__(self, path, start: int, stop: int):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._fh.readinto(memoryview(buf)[: self._left])
+        self._left -= got
+        return got
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _count_lines(path, start: int, stop: int) -> int | None:
+    """The line count of bytes ``start`` to ``stop`` of the file, a span that
+    starts at a line start, if csv.reader and np.loadtxt split it alike,
+    else None.
 
     They do when the bytes hold no quote, no NUL and no carriage return
     outside a CRLF pair, and no line is longer than the csv module's field
@@ -393,7 +422,7 @@ def _count_lines(path) -> int | None:
     """
     breaks = line = longest = 0  # line: bytes of the line still open at the chunk's end
     carry = b""  # a chunk's final \r, whose \n may open the next chunk
-    with open(path, "rb") as fh:
+    with _ByteSpan(path, start, stop) as fh:
         while chunk := fh.read(SCAN_CHUNK):
             chunk = carry + chunk
             carry = chunk[-1:] if chunk.endswith(b"\r") else b""
@@ -417,33 +446,116 @@ def _label_index(col: Column) -> dict:
 
 
 def _read_fast(path, schema) -> np.ndarray | None:
-    """The values of a file read by ``np.loadtxt``, or None when the
-    cell-by-cell reader must decide."""
-    lines = _count_lines(path)
-    if not lines:
-        return None
+    """The values of a file read by ``np.loadtxt`` span by span, or None
+    when the cell-by-cell reader must decide.
+
+    Span 0 is parsed here. Each other span is parsed in a forked child,
+    which spools its float64 rows, or nothing if the span must go to the
+    cell-by-cell reader, to an anonymous file in the temporary directory
+    (:func:`claimtree.workers.forked_shares`). Span 0's table is grown in
+    place and each further span's rows are read into it, so no second copy
+    of the table is made.
+    """
+    spans = _spans(path)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except Exception:  # the cell-by-cell reader decides
             return None
-        usecols = _header_positions(path, header, schema)
-        converters = {
-            pos: (lambda cell, index=_label_index(col): index[cell.strip()])
-            for pos, col in zip(usecols, schema) if col.categories
-        }
-        try:
-            with warnings.catch_warnings():
-                # with no data rows numpy warns "input contained no data"; the
-                # shape check below decides what such a file holds
-                warnings.simplefilter("ignore")
-                values = np.loadtxt(
-                    fh, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2,
-                    converters=converters, encoding="utf-8", max_rows=lines,
-                )
-        except Exception:  # whatever failed, the cell-by-cell reader decides
-            return None
-    return values if values.shape == (lines - 1, len(schema)) else None
+    usecols = _header_positions(path, header, schema)
+    converters = {
+        pos: (lambda cell, index=_label_index(col): index[cell.strip()])
+        for pos, col in zip(usecols, schema) if col.categories
+    }
+
+    def parse(s):
+        return _parse_span(path, *spans[s], usecols, converters)
+
+    def spool_rows(s, spool):
+        if (rows := parse(s)) is not None:
+            spool.write(rows.data)
+
+    row_bytes = 8 * len(schema)
+    try:
+        with forked_shares(len(spans), spool_rows, lambda s: f"CSV span {s} of {path}") as done:
+            for s, spool in done:
+                if spool is None and (part := parse(s)) is None:
+                    return None
+                if s == 0:
+                    table = part if part.flags.owndata else part.copy()  # so it can grow in place
+                    continue
+                rows = len(part) if spool is None else os.fstat(spool.fileno()).st_size // row_bytes
+                if not rows:
+                    return None
+                start = len(table)
+                # glibc moves a block above the mmap threshold by remapping its pages
+                table.resize((start + rows, len(schema)), refcheck=False)
+                if spool is None:
+                    table[start:] = part
+                elif spool.readinto(table[start:]) != rows * row_bytes:
+                    return None
+    except RuntimeError:  # a failed child: the cell-by-cell reader decides
+        return None
+    return table
+
+
+def _spans(path) -> list[tuple[int, int]]:
+    """The file's bytes as contiguous ``(start, stop)`` spans, one per
+    process (:func:`_share_workers`), each starting at a line start; span 0
+    holds the header and at least one more line, each other span at least
+    one line. The cell count is estimated as the file's bytes over its
+    first data line's, times the header's width."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header, first = fh.readline(SCAN_CHUNK), fh.readline(SCAN_CHUNK)
+        if not (header.endswith(b"\n") and first.endswith(b"\n")):
+            return [(0, size)]
+        workers = _share_workers(size // len(first) * (header.count(b",") + 1))
+        bounds = [0]
+        for w in range(1, workers):
+            target = len(header) + (size - len(header)) * w // workers
+            cut = _line_end(fh, max(target, bounds[-1], len(header)))
+            if cut >= size:
+                break
+            bounds.append(cut)
+    return list(zip(bounds, bounds[1:] + [size]))
+
+
+def _line_end(fh, pos: int) -> int:
+    """Where the line holding byte ``pos`` of the binary file ``fh`` ends:
+    one past its ``\n``, or at the end of the file."""
+    fh.seek(pos)
+    while chunk := fh.read(SCAN_CHUNK):
+        if (i := chunk.find(b"\n")) >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return pos
+
+
+def _parse_span(path, start: int, stop: int, usecols, converters) -> np.ndarray | None:
+    """The rows of bytes ``start`` to ``stop`` of the file (after the header
+    line, in span 0), read by ``np.loadtxt``, or None unless the span passes
+    its pre-scan and holds as many rows as that counted."""
+    lines = _count_lines(path, start, stop)
+    if not lines:
+        return None
+    rows = lines - (start == 0)
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    try:
+        with io.TextIOWrapper(io.BufferedReader(_ByteSpan(path, start, stop), SCAN_CHUNK),
+                              encoding=encoding, newline="") as fh, warnings.catch_warnings():
+            if start == 0:
+                fh.readline()  # the header, one line as it passed the pre-scan
+            # with no data rows numpy warns "input contained no data"; the
+            # shape check below decides what such a span holds
+            warnings.simplefilter("ignore")
+            values = np.loadtxt(
+                fh, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2,
+                converters=converters, encoding="utf-8", max_rows=rows + 1,
+            )
+    except Exception:  # whatever failed, the cell-by-cell reader decides
+        return None
+    return values if values.shape == (rows, len(usecols)) else None
 
 
 def _header_positions(path, header: list[str], schema) -> list[int]:
@@ -522,17 +634,20 @@ WRITE_BLOCK = 256
 # when the whole share holds at most TABLE_MAX.
 TABLE_PROBE = WRITE_BLOCK // 4
 TABLE_MAX = 1 << 12
-# Least cells per process that write_csv formats. save_csv of the seed-7
-# portfolio (61 columns) on 2 CPUs, one process against two, 20 runs each:
-# with the other CPU idle two won from 1,000 rows on; with it busy two won
-# 19 of 20 at 3,000 rows (183,000 cells), 14 of 20 at 2,000-2,500 rows and
-# 7 of 20 at 1,500 rows.
+# Least cells per process that write_csv formats or load_csv parses.
+# save_csv of the seed-7 portfolio (61 columns) on 2 CPUs, one process
+# against two, 20 runs each: with the other CPU idle two won from 1,000
+# rows on; with it busy two won 19 of 20 at 3,000 rows (183,000 cells),
+# 14 of 20 at 2,000-2,500 rows and 7 of 20 at 1,500 rows. load_csv of it,
+# the same way: with the other CPU idle two won 8 of 20 at 1,000 rows and
+# 13-20 of 20 from 2,000 rows on; with it busy, 9-16 of 20 at 1,500-6,000
+# rows.
 SHARE_CELLS = 90_000
 
 
-def _write_workers(cells: int) -> int:
-    """How many processes format write_csv's ``cells``: one per usable CPU,
-    at most one per SHARE_CELLS cells, at least one."""
+def _share_workers(cells: int) -> int:
+    """How many processes write_csv or load_csv share ``cells`` among: one
+    per usable CPU, at most one per SHARE_CELLS cells, at least one."""
     return max(1, min(usable_cpus(), cells // SHARE_CELLS))
 
 
@@ -548,7 +663,7 @@ def write_csv(path, header, columns, labels=None) -> None:
     column and joined once, so no second copy of the table is held.
 
     The rows are split into contiguous shares, one per process
-    (:func:`_write_workers`). This process writes the header and share 0;
+    (:func:`_share_workers`). This process writes the header and share 0;
     each other share is formatted by a forked child into an anonymous
     temporary file in the output's directory, which this process copies
     into the output in share order (:func:`claimtree.workers.forked_shares`,
@@ -561,7 +676,7 @@ def write_csv(path, header, columns, labels=None) -> None:
         None if lab is None else np.array([_field_text(label, len(columns)) for label in lab], dtype=object)
         for lab in labels or [None] * len(columns)
     ]
-    workers = _write_workers(n * len(columns))
+    workers = _share_workers(n * len(columns))
     shares = [(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
     created = not os.path.lexists(path)
     try:

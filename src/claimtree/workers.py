@@ -1,7 +1,7 @@
 """Forked worker processes: how many the package's parallel paths use, one
 forked child per share of a job, which hands its output back in an
-anonymous temporary file (:func:`forked_shares`, behind the CSV writer),
-and items run in forked children as one process would run them
+anonymous temporary file (:func:`forked_shares`, behind the CSV reader
+and writer), and items run in forked children as one process would run them
 (:func:`in_order`, behind cross-validation). Forking, CPU placement,
 failure reports, reaping, and how a child's results, log records and
 exceptions come back are written once.

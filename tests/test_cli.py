@@ -14,7 +14,8 @@ import pytest
 
 import claimtree
 from claimtree.cli import LOG_LEVELS, main
-from claimtree.evaluate import compute_metrics
+from claimtree.cart import TreeHyperparams
+from claimtree.evaluate import compute_metrics, mean_leaf_tree_learner
 from claimtree.hybrid import load, predict, predict_batch
 from claimtree.data import load_csv, load_schema
 from claimtree.simulate import SimConfig, simulate
@@ -1003,7 +1004,6 @@ class TestCompareAndExport:
             "--schema", str(portfolio / "schema.json"),
             "--out", str(out),
             "--maxdepth", "3",
-            "--severity-learner", "ols",
         ])
         assert code == 0
         csv_text = (out / "comparison.csv").read_text()
@@ -1047,6 +1047,59 @@ class TestCompareAndExport:
         assert code == 1
         assert f"error: two models would both be named {name!r}" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--zero-threshold 0.9", "--glm-which 0.3", "--glm-lambda 5", "--min-node-linear 3", "--severity-learner ols",
+    ])
+    def test_severity_flags_are_not_compare_options(self, portfolio, tmp_path, capsys, flag):
+        """Only the mean-leaf tree baseline is fitted, so only tree settings shape an output."""
+        code = main([
+            "compare", "--train", str(portfolio / "portfolio.csv"), "--test", str(portfolio / "portfolio.csv"),
+            "--schema", str(portfolio / "schema.json"), "--out", str(tmp_path / "cmp"), *flag.split(),
+        ])
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("zero_threshold", 0.9), ("glm_which", 0.3), ("glm_lambda", 5), ("min_node_for_linear", 3),
+        ("severity_learner", "ols"),
+    ])
+    def test_severity_config_keys_are_refused(self, portfolio, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"maxdepth": 3, key: value}), encoding="utf-8")
+        code = main([
+            "compare", "--config", str(cfg), "--train", str(portfolio / "portfolio.csv"),
+            "--test", str(portfolio / "portfolio.csv"), "--schema", str(portfolio / "schema.json"),
+            "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config file {cfg}: compare does not use [{key!r}]\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_baseline_tree_settings_are_resolved_and_recorded(self, portfolio, trained, tmp_path):
+        """Flag, else config key, else the hybrid's default; the manifest
+        records them when the baselines run, and the mean-leaf tree row is
+        that of a tree grown with them."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cp": 0.002, "maxdepth": 5, "seed": 4}), encoding="utf-8")
+        data = ["--train", str(portfolio / "portfolio.csv"), "--test", str(portfolio / "portfolio.csv"),
+                "--schema", str(portfolio / "schema.json")]
+        assert main(["compare", "--config", str(cfg), *data, "--maxdepth", "3", "--out", str(tmp_path / "cmp")]) == 0
+        manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+        tree = {"cp": 0.002, "maxdepth": 3, "minsplit": 8, "impurity": "gini"}
+        assert manifest["seed"] == 4
+        assert manifest["resolved_config"]["baseline_tree_hyperparams"] == tree
+        ds = load_csv(portfolio / "portfolio.csv", load_schema(portfolio / "schema.json"))
+        own = compute_metrics(ds.response, mean_leaf_tree_learner(TreeHyperparams(**tree))(ds)(ds))
+        with open(tmp_path / "cmp" / "comparison.csv", encoding="utf-8", newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["model"] == "mean_leaf_tree" and r["split"] == "test")
+        assert row["gini"] == repr(own.gini)
+        models = [str(trained / "model.json"), shutil.copy(trained / "model.json", tmp_path / "copy.json")]
+        assert main(["compare", "--models", *map(str, models), "--no-baselines", *data,
+                     "--out", str(tmp_path / "plain")]) == 0
+        manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert "baseline_tree_hyperparams" not in manifest["resolved_config"]
 
     @pytest.mark.parametrize("flags", [["--maxdepth", "0"], ["--minsplit", "1"]])
     def test_tree_settings_validation(self, portfolio, tmp_path, flags):

@@ -10,6 +10,8 @@ the reference reads the first match, and ``load_csv`` rejects the file.
 
 import csv
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -111,6 +113,10 @@ def outcome(loader, path, schema):
     except DataError as exc:
         return "error", str(exc)
     return ds.columns, ds.values.shape, ds.values.tobytes()
+
+
+def pin_shares(monkeypatch, shares):
+    monkeypatch.setattr(data, "_share_workers", lambda cells: shares)
 
 
 def assert_same_load(path, schema):
@@ -280,12 +286,12 @@ def test_response_column_alone_loads_without_the_cell_by_cell_reader(tmp_path, m
 @pytest.mark.parametrize("miscount", [-1, 1])
 def test_a_wrong_line_count_cannot_hide_rows(tmp_path, monkeypatch, name, miscount):
     """np.loadtxt reads at most one row more than the pre-scan counted, so a
-    count off by one either way gives a row count that differs from it and
-    the cell-by-cell reader decides."""
+    count off by one either way, in every share, gives a row count that
+    differs from it and the cell-by-cell reader decides."""
     f = tmp_path / "d.csv"
     f.write_text(BATTERY[name], encoding="utf-8")
     count_lines = data._count_lines
-    monkeypatch.setattr(data, "_count_lines", lambda path: count_lines(path) + miscount)
+    monkeypatch.setattr(data, "_count_lines", lambda path, *span: count_lines(path, *span) + miscount)
     read_cells = data._read_cells
     fallbacks = []
 
@@ -294,8 +300,11 @@ def test_a_wrong_line_count_cannot_hide_rows(tmp_path, monkeypatch, name, miscou
         return read_cells(path, schema)
 
     monkeypatch.setattr(data, "_read_cells", spy)
-    assert_same_load(f, SCHEMA)
-    assert fallbacks == [f]
+    for shares in (1, 2, 3, 4):
+        pin_shares(monkeypatch, shares)
+        fallbacks.clear()
+        assert_same_load(f, SCHEMA)
+        assert fallbacks == [f]
 
 
 def test_write_csv_quotes_as_csv_writer(tmp_path):
@@ -406,3 +415,223 @@ def test_save_matches_reference_and_reloads(tmp_path, ds):
     reference_save_csv(ds, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert_same_load(tmp_path / "new.csv", ds.columns)
+
+
+# --- load_csv in row shares: every share count gives one process's outcome ---
+
+
+def no_fallback(monkeypatch):
+    def fail(path, schema):
+        raise AssertionError(f"{path} fell back to the cell-by-cell reader")
+
+    monkeypatch.setattr(data, "_read_cells", fail)
+
+
+def spy_fallbacks(monkeypatch):
+    """The paths load_csv hands to the cell-by-cell reader, as they come."""
+    fallbacks, read_cells = [], data._read_cells
+    monkeypatch.setattr(data, "_read_cells", lambda path, schema: fallbacks.append(path) or read_cells(path, schema))
+    return fallbacks
+
+
+def count_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def rows_text(n: int, newline: str = "\n") -> str:
+    """SCHEMA's header and ``n`` rows of cells of several lengths."""
+    cats = SCHEMA[1].categories
+    return newline.join(["x1,c,y"] + [f"{i * 0.37 - 5!r},{cats[i % 3]},{i % 7}" for i in range(n)]) + newline
+
+
+def outcomes_by_shares(monkeypatch, path, schema):
+    """load_csv's outcome with 1, 2, 3 and 4 shares."""
+    outcomes = []
+    for shares in (1, 2, 3, 4):
+        pin_shares(monkeypatch, shares)
+        outcomes.append(outcome(load_csv, path, schema))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_shares_give_one_process_outcome_on_the_battery(tmp_path, monkeypatch, name):
+    f = tmp_path / "d.csv"
+    f.write_text(BATTERY[name], encoding="utf-8")
+    one, *shared = outcomes_by_shares(monkeypatch, f, SCHEMA)
+    assert shared == [one] * 3
+    assert_no_child_left()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(datasets(), st.booleans(), st.booleans(), st.booleans())
+def test_shares_give_one_process_values_on_mixed_schemas(tmp_path, monkeypatch, ds, lf, cut_last_newline, bom):
+    """What save_csv writes, with LF or CRLF line ends, the final newline or
+    not, and a byte-order mark or not."""
+    f = tmp_path / "d.csv"
+    pin_shares(monkeypatch, 1)
+    save_csv(ds, f)
+    text = f.read_bytes().decode("utf-8")
+    if lf:
+        text = text.replace("\r\n", "\n")  # no label holds a line break
+    if cut_last_newline:
+        text = text.rstrip("\r\n")
+    f.write_text("\ufeff" * bom + text, encoding="utf-8", newline="")
+    one, *shared = outcomes_by_shares(monkeypatch, f, ds.columns)
+    assert one[0] == "error" or one == (ds.columns, ds.values.shape, ds.values.tobytes())
+    assert shared == [one] * 3
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+def test_shares_give_one_process_outcome_on_generated_text(tmp_path, monkeypatch, case):
+    schema, text = case
+    f = tmp_path / "d.csv"
+    f.write_text(text, encoding="utf-8", newline="")
+    one, *shared = outcomes_by_shares(monkeypatch, f, schema)
+    assert shared == [one] * 3
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_shares_are_parsed_apart_without_the_cell_by_cell_reader(tmp_path, monkeypatch, newline):
+    """With a byte-order mark and no final newline too, and with a cut at
+    each byte of a line, CRLF line ends included."""
+    ref = tmp_path / "ref.csv"
+    ref.write_text(rows_text(40, newline), encoding="utf-8", newline="")
+    expected = reference_load_csv(ref, SCHEMA).values.tobytes()
+    no_fallback(monkeypatch)
+    forks = count_forks(monkeypatch)
+    at_crlf, line_end = [], data._line_end
+
+    def spy(fh, pos):  # is the byte a cut is aimed at the \n of a CRLF?
+        fh.seek(pos - 1)
+        at_crlf.append(fh.read(2) == b"\r\n")
+        return line_end(fh, pos)
+
+    monkeypatch.setattr(data, "_line_end", spy)
+    f = tmp_path / "d.csv"
+    for pad in range(2 * len("-5.0,lo,0" + newline)):
+        # the first row grows a byte at a time (its value stays -5.0), so a
+        # cut's target falls on each byte of a line
+        text = rows_text(40, newline).replace(",lo,0", "0" * pad + ",lo,0", 1)
+        for variant in (text, "\ufeff" + text, text.removesuffix(newline)):
+            f.write_text(variant, encoding="utf-8", newline="")
+            for shares in (2, 3, 4):
+                pin_shares(monkeypatch, shares)
+                spans = data._spans(f)
+                assert len(spans) == shares
+                assert all(f.read_bytes()[start - 1:start] == b"\n" for start, _ in spans[1:])
+                assert load_csv(f, SCHEMA).values.tobytes() == expected
+    assert any(at_crlf) == (newline == "\r\n")
+    assert forks
+    assert_no_child_left()
+
+
+def test_a_last_share_of_one_line(tmp_path, monkeypatch):
+    f = tmp_path / "d.csv"
+    f.write_text(rows_text(9) + "1." + "0" * 200 + ",mid,1\n" + "2.5,hi,3\n", encoding="utf-8")
+    pin_shares(monkeypatch, 2)
+    start, stop = data._spans(f)[-1]
+    assert f.read_bytes()[start:stop] == b"2.5,hi,3\n"
+    no_fallback(monkeypatch)
+    assert load_csv(f, SCHEMA).values.tobytes() == reference_load_csv(f, SCHEMA).values.tobytes()
+
+
+@pytest.mark.parametrize("defect, last_row", [
+    ("bad cell", "abc,lo,1\n"),
+    ("blank line", "\n2.0,hi,1\n"),
+    ("quote", '"2.0",hi,1\n'),
+    ("lone CR", "2.0,hi,1\r3.0,lo,2\n"),
+    ("unknown label", "2.0,top,1\n"),
+])
+def test_a_defect_in_the_last_share_gives_one_process_outcome(tmp_path, monkeypatch, defect, last_row):
+    """The whole file goes to the cell-by-cell reader, so an error names its
+    row counted from the file's first data row."""
+    f = tmp_path / "d.csv"
+    f.write_text(rows_text(60) + last_row, encoding="utf-8")
+    expected = outcome(reference_load_csv, f, SCHEMA)
+    if defect in ("bad cell", "blank line", "unknown label"):
+        assert expected[0] == "error" and "row 61, column" in expected[1]
+    fallbacks = spy_fallbacks(monkeypatch)
+    for shares in (2, 3, 4):
+        pin_shares(monkeypatch, shares)
+        assert data._spans(f)[-1][1] - data._spans(f)[-1][0] < len(rows_text(60)) // 2
+        fallbacks.clear()
+        assert outcome(load_csv, f, SCHEMA) == expected
+        assert fallbacks == [f]
+    assert_no_child_left()
+
+
+class TestFailedShares:
+    """A share whose child cannot be made is parsed here; a child that
+    fails hands the file to the cell-by-cell reader. Either way the Dataset
+    is one process's."""
+
+    @pytest.fixture
+    def f(self, tmp_path, monkeypatch):
+        f = tmp_path / "d.csv"
+        f.write_text(rows_text(300), encoding="utf-8")
+        pin_shares(monkeypatch, 3)
+        yield f
+        assert_no_child_left()
+
+    def test_a_failing_child(self, f, monkeypatch):
+        parent, parse_span = os.getpid(), data._parse_span
+
+        def fail_in_children(path, start, *args):
+            if os.getpid() != parent:
+                raise ValueError(f"cannot parse bytes from {start}")
+            return parse_span(path, start, *args)
+
+        monkeypatch.setattr(data, "_parse_span", fail_in_children)
+        fallbacks = spy_fallbacks(monkeypatch)
+        assert load_csv(f, SCHEMA).values.tobytes() == reference_load_csv(f, SCHEMA).values.tobytes()
+        assert fallbacks == [f]
+
+    def test_a_failed_fork(self, f, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        no_fallback(monkeypatch)
+        assert load_csv(f, SCHEMA).values.tobytes() == reference_load_csv(f, SCHEMA).values.tobytes()
+
+    def test_a_temporary_directory_that_cannot_be_written(self, f, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        forks = count_forks(monkeypatch)
+        no_fallback(monkeypatch)
+        assert load_csv(f, SCHEMA).values.tobytes() == reference_load_csv(f, SCHEMA).values.tobytes()
+        assert forks == []
+
+    def test_an_interrupt_propagates(self, f, monkeypatch):
+        forks = count_forks(monkeypatch)
+
+        def interrupt(path, start, *args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(data, "_parse_span", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            load_csv(f, SCHEMA)
+        assert len(forks) == 2
+
+
+def test_a_10000_row_portfolio_is_read_in_forked_shares(tmp_path, monkeypatch):
+    """perfbench's cli_scale and CI's CPU-count check read 10,000 or more
+    portfolio rows; that covers the forked shares only if such a file is
+    split on two CPUs."""
+    ds = simulate(SimConfig(n=10_000, seed=7)).dataset
+    f = tmp_path / "d.csv"
+    save_csv(ds, f)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert len(data._spans(f)) == 2
+    forks = count_forks(monkeypatch)
+    no_fallback(monkeypatch)
+    assert load_csv(f, ds.columns).values.tobytes() == ds.values.tobytes()
+    assert load_csv(f, (ds.response_column,)).response.tobytes() == ds.response.tobytes()
+    assert len(forks) == 2

@@ -36,7 +36,7 @@ def reference_write_csv(path, header, columns, labels):
 
 
 def pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(data, "_write_workers", lambda cells: workers)
+    monkeypatch.setattr(data, "_share_workers", lambda cells: workers)
 
 
 def assert_no_child_left():
@@ -190,12 +190,12 @@ def test_a_20000_row_portfolio_is_written_in_forked_shares(monkeypatch):
     portfolio is split on two CPUs."""
     width = len(simulate(SimConfig(n=1, seed=7)).dataset.columns)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert data._write_workers(20_000 * width) == 2
+    assert data._share_workers(20_000 * width) == 2
 
 
 def test_worker_count_follows_the_usable_cpus_and_the_size(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     sizes = (0, SHARE_CELLS - 1, 2 * SHARE_CELLS, 100 * SHARE_CELLS)
-    assert [data._write_workers(cells) for cells in sizes] == [1, 1, 2, 3]
+    assert [data._share_workers(cells) for cells in sizes] == [1, 1, 2, 3]
     monkeypatch.delattr(os, "fork")
-    assert data._write_workers(100 * SHARE_CELLS) == 1
+    assert data._share_workers(100 * SHARE_CELLS) == 1
