@@ -440,8 +440,14 @@ class _SplitSearch:
         self.codes = value[:len(counted)].astype(dtype)
         self.codes += (width * np.arange(len(counted), dtype=dtype))[:, None]
         self.codes <<= 1
-        # The root's order; grow hands it to the root node and drops it here.
-        self.order = order[:len(scanned)] if scanned else np.arange(N, dtype=np.intp)[None, :]
+        # The root's order, the buffer cut in place to its scanned rows (a
+        # view would keep the counted features' unused rows alive); grow
+        # hands it to the root node and drops it here.
+        if scanned:
+            order.resize((len(scanned), N), refcheck=False)
+            self.order = order
+        else:
+            self.order = np.arange(N, dtype=np.intp)[None, :]
 
     def score(self, order, y, impurity):
         """Best split of the node whose rows, sorted by each scanned

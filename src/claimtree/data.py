@@ -28,6 +28,8 @@ import numpy as np
 from .workers import forked_shares, usable_cpus
 
 VALID_KINDS = ("continuous", "categorical", "response", "count")
+# Rows of a table whose cells the value check tests for finiteness at once.
+CHECK_BLOCK = 4096
 
 
 class DataError(Exception):
@@ -178,7 +180,9 @@ class Dataset:
     The one check of a table's values: a non-finite cell anywhere, then,
     column by column in schema order, a negative response or count and a
     cell that is not a category index raise :class:`DataError` naming the
-    row (numbered from 1, as a CSV's data rows are) and the column.
+    row (numbered from 1, as a CSV's data rows are) and the column. The
+    finiteness test holds one block of ``CHECK_BLOCK`` rows at a time, so
+    checking a table allocates a few of its columns, never its size.
 
     The Dataset copies ``values`` into a read-only float64 array, unless it
     already is one that owns its memory or is a view of one: such an array
@@ -284,10 +288,12 @@ class Dataset:
 
 def _check_values(columns: tuple[Column, ...], values: np.ndarray) -> None:
     """The one check of a table's values (see :class:`Dataset`)."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, j = np.argwhere(~finite)[0]
-        raise DataError(f"row {r + 1}, column {columns[j].name!r}: non-finite value {values[r, j]}")
+    for start in range(0, len(values), CHECK_BLOCK):
+        block = values[start:start + CHECK_BLOCK]
+        if not np.isfinite(block).all():
+            r, j = np.argwhere(~np.isfinite(block))[0]
+            r += start
+            raise DataError(f"row {r + 1}, column {columns[j].name!r}: non-finite value {values[r, j]}")
     for j, col in enumerate(columns):
         cells = values[:, j]
         if col.kind == "categorical":

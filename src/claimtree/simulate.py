@@ -20,7 +20,7 @@ log = logging.getLogger(__name__)
 
 CATEGORY_LEVELS = (-3.0, -2.0, 1.0, 4.0)
 RATE_CAP = 1e12
-# Rows of categorical levels gen_features writes per np.take call.
+# Most rows of one block of draws gen_features writes into its table.
 TAKE_BLOCK = 4096
 
 
@@ -130,16 +130,22 @@ def gen_features(config: SimConfig, rng: np.random.Generator, out: np.ndarray | 
     if out is None:
         out = np.empty((n, pc + pk))
     chol = _ar1_cholesky(pc, config.rho)
-    # one product over all rows: a row block of one row takes another BLAS
-    # path and can change the last bit
-    np.matmul(rng.standard_normal((n, pc)), chol.T, out=out[:, :pc])
-    # the draws rng.choice(levels, size) makes, in the same order
-    codes = rng.integers(0, len(CATEGORY_LEVELS), size=(n, pk))
     levels = np.array(CATEGORY_LEVELS)
-    # np.take buffers a strided ``out`` whole, so it fills row blocks
-    for start in range(0, n, TAKE_BLOCK):
-        rows = slice(start, start + TAKE_BLOCK)
-        np.take(levels, codes[rows], out=out[rows, pc:])
+    # ceil(n / TAKE_BLOCK) near-equal row blocks, one when n <= TAKE_BLOCK
+    # and none below TAKE_BLOCK / 2 rows: a block of one row takes another
+    # BLAS path and can change the last bit. Each block's draws continue the
+    # generator's stream, so the normals, then the codes, are the draws of
+    # one (n, pc) and one (n, pk) call; the two passes stay apart, as
+    # interleaving them would reorder the stream. tests/test_simulate.py
+    # (TestOneTable) checks the bits against one product over all rows.
+    count = -(-n // TAKE_BLOCK)
+    blocks = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+    for rows in blocks:
+        np.matmul(rng.standard_normal((rows.stop - rows.start, pc)), chol.T, out=out[rows, :pc])
+    # the draws rng.choice(levels, size) makes, in the same order
+    for rows in blocks:
+        codes = rng.integers(0, len(CATEGORY_LEVELS), size=(rows.stop - rows.start, pk))
+        np.take(levels, codes, out=out[rows, pc:])
     return out
 
 

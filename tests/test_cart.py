@@ -523,6 +523,20 @@ class TestSplitSearchKinds:
         assert search.scanned.size == 0
         assert search.order.tolist() == [list(range(X.shape[0]))]
 
+    def test_root_order_owns_only_the_scanned_rows(self):
+        """The root order keeps no memory for the counted features: it owns
+        exactly len(scanned) x N row ids, each row its feature's argsort."""
+        X, _ = feature_matrix(simulate(SimConfig(n=500, seed=3)).dataset)
+        XT = np.ascontiguousarray(X.T)
+        search = cart._SplitSearch(XT)
+        assert search.counted.size == 30 and search.scanned.size == 30
+        order = search.order
+        assert order.base is None and order.flags.owndata and order.flags.c_contiguous
+        assert order.shape == (search.scanned.size, X.shape[0])
+        assert order.nbytes == search.scanned.size * X.shape[0] * order.itemsize
+        for row, j in zip(order, search.scanned):
+            np.testing.assert_array_equal(XT[j].take(row), np.sort(XT[j]))
+
     @pytest.mark.parametrize("impurity", ["gini", "entropy", "misclassification"])
     def test_counted_nodes_match_the_per_feature_reference(self, impurity):
         """Every node of a tree on counted and tied scanned features, split

@@ -228,7 +228,9 @@ class TestOneTable:
     the values and generator state of the stacked formulation."""
 
     @pytest.mark.parametrize("config", [
-        *(pytest.param(SimConfig(n=n, seed=7), id=f"n={n}") for n in (1, 7, 4097, 8193, 20_000)),
+        # row blocks of gen_features: one, two near-equal, and uneven splits
+        *(pytest.param(SimConfig(n=n, seed=7), id=f"n={n}")
+          for n in (1, 7, 4097, 2 * 4096 - 1, 8193, 3 * 4096 + 1, 20_000, 40_000)),
         pytest.param(narrow_config(300, 0, 4), id="no continuous"),
         pytest.param(narrow_config(300, 4, 0), id="no categorical"),
     ])
